@@ -9,7 +9,6 @@ numeric order; canonical forms elsewhere depend on that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,3 @@ def from_exponents(exps: tuple[int, ...], f: Factorization) -> int:
         d *= p**r
     return d
 
-
-def exponent_box(f: Factorization):
-    """Iterate all exponent tuples of divisors of n (the box prod [0, a_i])."""
-    return product(*(range(a + 1) for _, a in f.factors))

@@ -12,8 +12,8 @@ import sys
 
 from . import metrics, topology, verify
 from .arith import factorize
-from .groups import (SUBGROUP_ENUMERATION_LIMIT, CapabilityError,
-                     build_hypergraphs_for_group, cyclic, dihedral)
+from .groups import (CapabilityError, build_hypergraphs_for_group, cyclic,
+                     dihedral)
 from .hypergraph import build_intersection_hypergraph
 from .verify import ALL_CHECKS, DEFAULT_HOST_TREE_LIMIT, SCHEMA
 
@@ -100,11 +100,6 @@ def cmd_group(args) -> int:
         group = cyclic(args.n) if args.kind == "cyclic" else dihedral(args.n)
     except ValueError as exc:
         print(f"znhg: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if group.order > SUBGROUP_ENUMERATION_LIMIT:
-        print(f"znhg: error: order {group.order} exceeds the subgroup "
-              f"enumeration limit {SUBGROUP_ENUMERATION_LIMIT}",
-              file=sys.stderr)
         return EXIT_USAGE
     inter, comax = build_hypergraphs_for_group(group)
     same, witness = metrics.isomorphic(inter, comax)

@@ -3,8 +3,8 @@
 Planarity decisions are delegated to networkx's left-right test, but
 both kinds of certificate -- a rotation system for planar graphs, a
 Kuratowski subdivision for nonplanar ones -- are re-verified here by
-independent code.  Downstream classification checks validate the
-certificates, never the bare boolean.
+independent code.  is_planar verifies the certificate once, before
+returning, and raises if it fails, so callers never re-check it.
 """
 
 from __future__ import annotations

@@ -4,12 +4,15 @@ analyze() produces the full per-n report: construction, every exactly
 computable invariant, the closed-form prediction, and per-field
 agreement flags.  run_sweep() applies selected comparisons over a range
 of n; disagreements come back as findings in the result, never as
-exceptions, because the harness exists to report them.
+exceptions, because the harness exists to report them.  Both go through
+one evaluator, _evaluate(), where each check is defined once; analyze
+runs every sweep check except iso.
 
-Exact host-tree searches are cached per isomorphism class inside a
-sweep: hypergraphs of equal exponent pattern are matched by an explicit
-isomorphism search, witnesses carried across the verified bijection and
-re-verified, so the per-n guarantee does not rest on the cache key.
+Exact host-tree searches are cached per isomorphism class for both
+analyze and sweeps: hypergraphs of equal exponent pattern are matched by
+an explicit isomorphism search, witnesses carried across the verified
+bijection and re-verified, so the per-n guarantee does not rest on the
+cache key.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 from . import classify, metrics, topology
@@ -114,64 +118,13 @@ def analyze(n: int, host_tree_limit: int = DEFAULT_HOST_TREE_LIMIT) -> AnalysisR
     f = factorize(n)
     h = build_intersection_hypergraph(f)
     pred = classify.predict(f)
-
-    computed: dict = {
-        "is_empty": h.is_empty,
-        "vertex_count": len(h.vertices),
-        "edge_count": len(h.edges),
-        "single_edge": len(h.edges) == 1,
-    }
-    agreement: dict = {}
-
-    def compare(name, computed_value, predicted_value, agree=None):
-        agreement[name] = FieldComparison(
-            computed_value, predicted_value,
-            bool(computed_value == predicted_value) if agree is None else agree,
-            "computed")
-
-    compare("is_empty", h.is_empty, pred.is_empty)
-    if h.is_empty:
-        return AnalysisReport(n, f.factors, h.vertices, h.edge_label_sets(),
-                              computed, pred, agreement, host_tree_limit)
-
-    computed["diameter"] = metrics.diameter(h)
-    computed["girth"] = metrics.girth(h)
-    computed["chromatic"] = metrics.chromatic_number(h)
-    try:
-        metrics.constructive_two_coloring(f, h)
-        computed["two_coloring_proper"] = True
-    except metrics.ColoringContradiction:
-        computed["two_coloring_proper"] = False
-    computed["star"] = metrics.is_star(h)
-    host = metrics.has_host_tree(h, host_tree_limit)
-    computed["host_tree"] = host.status
-    planarity = topology.hypergraph_planar(h)
-    computed["planar"] = planarity.planar
-    if not planarity.planar:
-        computed["planarity_witness"] = planarity.witness_kind
-    cert_ok = _certificate_valid(h, planarity)
-    computed["planarity_certificate_valid"] = cert_ok
-
-    compare("single_edge", computed["single_edge"], pred.single_edge)
-    compare("diameter", computed["diameter"], pred.diameter)
-    compare("girth", computed["girth"], pred.girth)
-    compare("chromatic", computed["chromatic"], pred.chromatic,
-            agree=computed["chromatic"] == pred.chromatic
-            and computed["two_coloring_proper"])
-    compare("star", computed["star"], pred.star)
-    if host.status != "unknown":
-        compare("hypertree", host.status == "yes", pred.hypertree)
-    compare("planar", planarity.planar, pred.planar,
-            agree=planarity.planar == pred.planar and cert_ok)
+    rows, computed = _evaluate(f, h, pred,
+                               [c for c in ALL_CHECKS if c != "iso"],
+                               host_tree_limit)
+    agreement = {fld: FieldComparison(comp, predicted, agree, "computed")
+                 for _, fld, comp, predicted, agree, _, _ in rows}
     return AnalysisReport(n, f.factors, h.vertices, h.edge_label_sets(),
                           computed, pred, agreement, host_tree_limit)
-
-
-def _certificate_valid(h: Hypergraph, result: topology.PlanarityResult) -> bool:
-    g = topology.incidence_graph(h)
-    if result.planar:
-        return topology.verify_rotation_system(g, result.rotation)
-    return topology.verify_kuratowski_witness(g, result.witness) is not None
 
 
 def render_report(report: AnalysisReport) -> str:
@@ -247,73 +200,85 @@ def cached_host_tree(f: Factorization, h: Hypergraph,
     return result
 
 
-def _sweep_one(args) -> tuple[int, list, int]:
-    f, checks, host_tree_limit = args
-    outcomes = []  # (check, computed_str, predicted_str, agree)
-    unknown = 0
-    pred = classify.predict(f)
-    h = None
+def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
+              checks, host_tree_limit: int) -> tuple[list, dict]:
+    """Run the selected checks on h against the prediction for n.
 
-    def build():
-        nonlocal h
-        if h is None:
-            h = build_intersection_hypergraph(f)
-        return h
+    Returns (rows, facts).  A row is (check, report field, computed,
+    predicted, agree, computed text, predicted text), in the order the
+    checks run; facts are the computed values analyze reports.  Callees
+    are looked up at call time, so patched or traced module attributes
+    take effect.
+    """
+    rows = []
+    facts = {"is_empty": h.is_empty, "vertex_count": len(h.vertices),
+             "edge_count": len(h.edges), "single_edge": len(h.edges) == 1}
+
+    def compare(check, fld, computed, predicted, agree=None,
+                computed_text=None, predicted_text=None):
+        rows.append((
+            check, fld, computed, predicted,
+            bool(computed == predicted if agree is None else agree),
+            str(_encode(computed)) if computed_text is None else computed_text,
+            str(_encode(predicted)) if predicted_text is None else predicted_text))
 
     if "emptiness" in checks:
-        hh = build()
-        outcomes.append(("emptiness", str(hh.is_empty), str(pred.is_empty),
-                         hh.is_empty == pred.is_empty))
-    if f.omega >= 2:
-        hh = build()
-        if "diameter" in checks:
-            d = metrics.diameter(hh)
-            outcomes.append(("diameter", str(_encode(d)),
-                             str(_encode(pred.diameter)), d == pred.diameter))
-        if "girth" in checks:
-            g = metrics.girth(hh)
-            ok = g == pred.girth and g in (2, 4, math.inf)
-            outcomes.append(("girth", str(_encode(g)),
-                             str(_encode(pred.girth)), ok))
-        if "chromatic" in checks:
-            chi = metrics.chromatic_number(hh)
-            try:
-                metrics.constructive_two_coloring(f, hh)
-                proper = True
-            except metrics.ColoringContradiction:
-                proper = False
-            ok = chi == pred.chromatic and proper
-            outcomes.append(("chromatic",
-                             f"{chi}{'' if proper else ' (A/B split improper)'}",
-                             str(pred.chromatic), ok))
-        if "star" in checks:
-            s = metrics.is_star(hh)
-            outcomes.append(("star", str(s), str(pred.star), s == pred.star))
-        if "single-edge" in checks:
-            se = len(hh.edges) == 1
-            outcomes.append(("single-edge", str(se), str(pred.single_edge),
-                             se == pred.single_edge))
-        if "hypertree" in checks:
-            res = cached_host_tree(f, hh, host_tree_limit)
-            if res.status == "unknown":
-                unknown += 1
-            else:
-                ok = (res.status == "yes") == pred.hypertree
-                outcomes.append(("hypertree", res.status,
-                                 "yes" if pred.hypertree else "no", ok))
-        if "planarity" in checks:
-            res = topology.hypergraph_planar(hh)
-            cert_ok = _certificate_valid(hh, res)
-            ok = res.planar == pred.planar and cert_ok
-            label = str(res.planar) + ("" if cert_ok else " (invalid certificate)")
-            outcomes.append(("planarity", label, str(pred.planar), ok))
-        if "iso" in checks:
-            co = build_comaximal_hypergraph(f)
-            same, witness = metrics.isomorphic(hh, co)
-            ok = same and metrics.verify_isomorphism(hh, co, witness)
-            outcomes.append(("iso", "isomorphic" if ok else "NOT isomorphic",
-                             "isomorphic", ok))
-    return f.n, outcomes, unknown
+        compare("emptiness", "is_empty", h.is_empty, pred.is_empty)
+    if h.is_empty:
+        return rows, facts
+    if "diameter" in checks:
+        facts["diameter"] = metrics.diameter(h)
+        compare("diameter", "diameter", facts["diameter"], pred.diameter)
+    if "girth" in checks:
+        facts["girth"] = metrics.girth(h)
+        compare("girth", "girth", facts["girth"], pred.girth)
+    if "chromatic" in checks:
+        chi = facts["chromatic"] = metrics.chromatic_number(h)
+        try:
+            metrics.constructive_two_coloring(f, h)
+            proper = True
+        except metrics.ColoringContradiction:
+            proper = False
+        facts["two_coloring_proper"] = proper
+        compare("chromatic", "chromatic", chi, pred.chromatic,
+                agree=chi == pred.chromatic and proper,
+                computed_text=f"{chi}{'' if proper else ' (A/B split improper)'}")
+    if "star" in checks:
+        facts["star"] = metrics.is_star(h)
+        compare("star", "star", facts["star"], pred.star)
+    if "single-edge" in checks:
+        compare("single-edge", "single_edge", facts["single_edge"],
+                pred.single_edge)
+    if "hypertree" in checks:
+        status = facts["host_tree"] = cached_host_tree(f, h, host_tree_limit).status
+        if status != "unknown":
+            compare("hypertree", "hypertree", status == "yes", pred.hypertree,
+                    computed_text=status,
+                    predicted_text="yes" if pred.hypertree else "no")
+    if "planarity" in checks:
+        # is_planar verifies the certificate it returns and raises if it
+        # fails, so a result reaching here always carries a valid one
+        res = topology.hypergraph_planar(h)
+        facts["planar"] = res.planar
+        if not res.planar:
+            facts["planarity_witness"] = res.witness_kind
+        facts["planarity_certificate_valid"] = True
+        compare("planarity", "planar", res.planar, pred.planar)
+    if "iso" in checks:
+        co = build_comaximal_hypergraph(f)
+        same, witness = metrics.isomorphic(h, co)
+        ok = same and metrics.verify_isomorphism(h, co, witness)
+        compare("iso", "iso", ok, True,
+                computed_text="isomorphic" if ok else "NOT isomorphic",
+                predicted_text="isomorphic")
+    return rows, facts
+
+
+def _sweep_one(args) -> tuple[int, list, int]:
+    f, checks, host_tree_limit = args
+    rows, facts = _evaluate(f, build_intersection_hypergraph(f),
+                            classify.predict(f), checks, host_tree_limit)
+    return f.n, rows, int(facts.get("host_tree") == "unknown")
 
 
 def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
@@ -322,10 +287,14 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
     """Run the selected computed-vs-predicted comparisons for lo..hi.
 
     Results are merged in ascending n regardless of jobs, so output is
-    deterministic across concurrency levels.
+    deterministic across concurrency levels; jobs above the CPU count
+    are capped to it.
     """
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     unknown_checks = set(checks) - set(ALL_CHECKS)
     if unknown_checks:
         raise ValueError(f"unknown checks: {sorted(unknown_checks)}")
@@ -340,7 +309,7 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
         rows = [_sweep_one(t) for t in tasks]
     for n, outcomes, unknown in sorted(rows):
         result.hypertree_unknown += unknown
-        for check, comp, predicted, agree in outcomes:
+        for check, _, _, _, agree, comp, predicted in outcomes:
             result.compared[check] += 1
             if not agree:
                 result.findings.append(Finding(n, check, comp, predicted))

@@ -1,4 +1,7 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from znhg import verify
 from znhg.cli import main
@@ -9,6 +12,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv", [("analyze", "8"), ("analyze", "30"),
+                                  ("analyze", "216"), ("sweep", "2", "120")])
+def test_json_output_matches_golden(capsys, argv):
+    # empty, planar, nonplanar with its witness, and a sweep summary
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out == (GOLDEN / ("_".join(argv) + ".json")).read_text()
 
 
 def test_analyze_30_json(capsys):
@@ -124,6 +139,12 @@ def test_sweep_rejects_unknown_check(capsys):
     code, _, err = run(capsys, "sweep", "2", "10", "--checks", "zzz")
     assert code == 1
     assert "unknown checks" in err
+
+
+def test_sweep_rejects_jobs_below_one(capsys):
+    code, _, err = run(capsys, "sweep", "2", "10", "--jobs", "0")
+    assert code == 1
+    assert "jobs" in err
 
 
 def test_sweep_jobs_have_identical_output(capsys):

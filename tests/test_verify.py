@@ -109,3 +109,55 @@ def test_sweep_counts_unknown_hypertrees():
     assert r.hypertree_unknown > 0
     assert r.compared["hypertree"] + r.hypertree_unknown == len(
         [f for f in factorize_range(2, 1000) if f.omega >= 2])
+
+
+def test_computed_disagreement_reported_by_analyze_and_sweep(monkeypatch):
+    from znhg import verify as v
+
+    real_diameter = v.metrics.diameter
+
+    def wrong_diameter(h):
+        value = real_diameter(h)
+        return 99 if value == 3 else value
+
+    monkeypatch.setattr(v.metrics, "diameter", wrong_diameter)
+    r = analyze(30)
+    assert r.findings == ["diameter"]
+    cmp = r.agreement["diameter"]
+    assert (cmp.computed, cmp.predicted, cmp.agree) == (99, 3, False)
+    s = run_sweep(30, 30, ("diameter",))
+    assert [(f.n, f.check, f.computed, f.predicted) for f in s.findings] == [
+        (30, "diameter", "99", "3")]
+
+
+def test_run_sweep_bounds_jobs(monkeypatch):
+    # a fake pool records the process count and maps serially, so no
+    # worker process is ever started
+    from znhg import verify as v
+
+    pools = []
+
+    class FakePool:
+        def __init__(self, processes):
+            pools.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(v.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(v.multiprocessing, "Pool", FakePool)
+    checks = ("diameter", "hypertree")
+    serial = render_sweep(run_sweep(2, 80, checks))
+    assert render_sweep(run_sweep(2, 80, checks, jobs=1000)) == serial
+    assert render_sweep(run_sweep(2, 80, checks, jobs=2)) == serial
+    assert pools == [3, 2]
+    for jobs in (0, -4):
+        with pytest.raises(ValueError):
+            run_sweep(2, 80, checks, jobs=jobs)
+    assert pools == [3, 2]
