@@ -69,10 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args) -> int:
-    if args.n < 2:
-        print("znhg: error: analyze needs n >= 2", file=sys.stderr)
+    try:
+        report = verify.analyze(args.n, args.host_tree_limit)
+    except ValueError as exc:
+        print(f"znhg: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = verify.analyze(args.n, args.host_tree_limit)
     if args.json:
         print(report.to_json())
     else:
@@ -168,8 +169,12 @@ def cmd_export(args) -> int:
             "links": [[g.labels[u], g.labels[v]] for u, v in g.sorted_edges()],
         }, indent=2, sort_keys=True) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"znhg: error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         print(text, end="")
     return EXIT_OK

@@ -8,11 +8,12 @@ exceptions, because the harness exists to report them.  Both go through
 one evaluator, _evaluate(), where each check is defined once; analyze
 runs every sweep check except iso.
 
-Exact host-tree searches are cached per isomorphism class for both
-analyze and sweeps: hypergraphs of equal exponent pattern are matched by
-an explicit isomorphism search, witnesses carried across the verified
-bijection and re-verified, so the per-n guarantee does not rest on the
-cache key.
+No isomorphism is searched for.  The iso check verifies the explicit
+map d -> n/d, exact because gcd(n/d, n/d') = n/lcm(d, d').  Host-tree
+searches are cached per exponent pattern: each hypergraph is relabelled
+by exponent vectors into a pattern hypergraph, equal for every n of the
+pattern, and results come back through that relabelling with every
+witness re-verified on the query n.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import os
 from dataclasses import dataclass, field
 
 from . import classify, metrics, topology
-from .arith import Factorization, factorize, factorize_range
+from .arith import Factorization, exponent_vector, factorize, factorize_range
 from .classify import COMPUTED_FIELDS, FORMULA_ONLY_FIELDS, Classification
 from .hypergraph import (Hypergraph, build_comaximal_hypergraph,
-                         build_intersection_hypergraph)
+                         build_intersection_hypergraph, canonical_hypergraph)
 
 SCHEMA = "znhg/1"
 ALL_CHECKS = ("diameter", "girth", "chromatic", "star", "hypertree",
@@ -115,6 +116,7 @@ def analyze(n: int, host_tree_limit: int = DEFAULT_HOST_TREE_LIMIT) -> AnalysisR
     """Full report for one n: build, compute, predict, compare."""
     if n < 2:
         raise ValueError("analysis needs n >= 2")
+    _check_host_tree_limit(host_tree_limit)
     f = factorize(n)
     h = build_intersection_hypergraph(f)
     pred = classify.predict(f)
@@ -179,9 +181,29 @@ class SweepResult:
         return len(self.findings)
 
 
-# host-tree searches per exponent pattern; entries are (representative
-# hypergraph, its exact result) and transfer only via verified isomorphism
+def _check_host_tree_limit(limit: int) -> None:
+    # the exhaustive search takes seconds at 10 vertices and about a
+    # minute at 11, so the default is also the largest limit accepted
+    if limit > DEFAULT_HOST_TREE_LIMIT:
+        raise ValueError(f"host-tree limit {limit} exceeds the maximum "
+                         f"{DEFAULT_HOST_TREE_LIMIT}")
+
+
+# host-tree searches per exponent pattern; an entry (pattern hypergraph,
+# its exact result) serves only a query with an equal pattern hypergraph
 _host_tree_cache: dict[tuple[int, ...], tuple[Hypergraph, metrics.HostTreeResult]] = {}
+
+
+def _pattern_hypergraph(f: Factorization, h: Hypergraph) -> tuple[Hypergraph, dict]:
+    """h relabelled by exponent vectors, primes by ascending exponent (ties
+    in prime order), vertices sorted: one Hypergraph per exponent pattern.
+    Also returns the map from its labels back to h's."""
+    order = sorted(range(f.omega), key=lambda i: f.exponents[i])
+    labels = [tuple(exponent_vector(d, f)[i] for i in order) for d in h.vertices]
+    rank = {lab: k for k, lab in enumerate(sorted(labels))}
+    pattern = canonical_hypergraph(sorted(labels),
+                                   [[rank[labels[v]] for v in e] for e in h.edges])
+    return pattern, dict(zip(labels, h.vertices))
 
 
 def cached_host_tree(f: Factorization, h: Hypergraph,
@@ -189,15 +211,14 @@ def cached_host_tree(f: Factorization, h: Hypergraph,
     if len(h.vertices) > limit:
         return metrics.HostTreeResult("unknown")
     key = tuple(sorted(f.exponents))
+    pattern, to_h = _pattern_hypergraph(f, h)
     hit = _host_tree_cache.get(key)
-    if hit is not None:
-        h0, r0 = hit
-        ok, mapping = metrics.isomorphic(h0, h)
-        if ok:
-            return metrics.host_tree_relabelled(r0, h0, h, mapping)
-    result = metrics.has_host_tree(h, limit)
-    _host_tree_cache.setdefault(key, (h, result))
-    return result
+    if hit is not None and hit[0] == pattern:
+        result = hit[1]
+    else:
+        result = metrics.has_host_tree(pattern, limit)
+        _host_tree_cache.setdefault(key, (pattern, result))
+    return metrics.host_tree_relabelled(result, pattern, h, to_h)
 
 
 def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
@@ -266,8 +287,7 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
         compare("planarity", "planar", res.planar, pred.planar)
     if "iso" in checks:
         co = build_comaximal_hypergraph(f)
-        same, witness = metrics.isomorphic(h, co)
-        ok = same and metrics.verify_isomorphism(h, co, witness)
+        ok = metrics.verify_isomorphism(h, co, {d: f.n // d for d in h.vertices})
         compare("iso", "iso", ok, True,
                 computed_text="isomorphic" if ok else "NOT isomorphic",
                 predicted_text="isomorphic")
@@ -294,6 +314,7 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
         raise ValueError("need 2 <= lo <= hi")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
+    _check_host_tree_limit(host_tree_limit)
     jobs = min(jobs, os.cpu_count() or 1)
     unknown_checks = set(checks) - set(ALL_CHECKS)
     if unknown_checks:

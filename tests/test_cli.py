@@ -65,6 +65,16 @@ def test_analyze_host_tree_limit_flag(capsys):
     assert "hypertree" not in doc["agreement"]
 
 
+@pytest.mark.parametrize("argv", [("analyze", "210", "--host-tree-limit", "20"),
+                                  ("sweep", "2", "30", "--host-tree-limit", "10")])
+def test_host_tree_limit_above_maximum_exits_1(capsys, argv):
+    # rejected before any search; 20 on n = 210 would never finish
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "maximum 9" in err
+
+
 def test_analyze_exit_2_on_finding(capsys, monkeypatch):
     # no n in range disagrees with its prediction, so force one
     real = verify.analyze
@@ -237,3 +247,13 @@ def test_export_to_file(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("graph {")
+
+
+def test_export_to_missing_directory_exits_1(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, "export", "12", "--format", "json",
+                         "--target", "hypergraph", "--output", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("znhg: error:")
+    assert not target.exists()

@@ -104,6 +104,30 @@ def test_cached_host_tree_survives_poisoned_cache(monkeypatch):
     assert cached_host_tree(f, h, 9).status == "no"
 
 
+def test_z_n_path_runs_no_isomorphism_search(monkeypatch):
+    # the iso check and the host-tree cache use explicit bijections only
+    from znhg import verify as v
+
+    def no_search(h1, h2):
+        raise AssertionError("isomorphism search called")
+
+    monkeypatch.setattr(v.metrics, "isomorphic", no_search)
+    assert run_sweep(2, 400, ALL_CHECKS).total_findings == 0
+    assert analyze(360).findings == []
+
+
+def test_iso_check_verifies_the_explicit_map(monkeypatch):
+    # the intersection hypergraph of 30 is isomorphic to its co-maximal
+    # hypergraph, but not through d -> 30/d, so the check must fail
+    from znhg import verify as v
+
+    monkeypatch.setattr(v, "build_comaximal_hypergraph",
+                        build_intersection_hypergraph)
+    r = run_sweep(30, 30, ("iso",))
+    assert [(f.n, f.check, f.computed) for f in r.findings] == [
+        (30, "iso", "NOT isomorphic")]
+
+
 def test_sweep_counts_unknown_hypertrees():
     r = run_sweep(2, 1000, ("hypertree",))
     assert r.hypertree_unknown > 0
