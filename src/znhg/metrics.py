@@ -3,10 +3,11 @@
 Distance and diameter live on the primal graph (one primal edge = one
 hyperedge of path length).  Girth is half the shortest cycle of the
 bipartite incidence representation.  The weak chromatic number comes
-from exact backtracking, host trees from an exhaustive labeled-tree
-search, and isomorphism from pruned bijection search -- all answers are
-exact, never heuristic.  The isomorphism search serves the group engine
-and the tests; the Z_n harness checks explicit maps with verify_isomorphism.
+from exact backtracking, host trees from a maximum-weight spanning tree
+of co-membership counts, and isomorphism from pruned bijection search --
+all answers are exact, never heuristic.  The isomorphism search serves
+the group engine and the tests; the Z_n harness checks explicit maps
+with verify_isomorphism.
 """
 
 from __future__ import annotations
@@ -228,11 +229,11 @@ def is_star(h: Hypergraph) -> bool:
 
 @dataclass(frozen=True)
 class HostTreeResult:
-    """Outcome of the exact host-tree search.
+    """Outcome of the exact host-tree test.
 
-    status is "yes" (tree is a verified witness), "no" (exhaustive
-    search found none) or "unknown" (vertex count above the search
-    limit; tree is None).
+    status is "yes" (tree is a verified witness), "no" (no host tree
+    exists, exact by the spanning-tree weight bound) or "unknown" (vertex
+    count above the limit; tree is None).
     """
 
     status: str
@@ -240,97 +241,44 @@ class HostTreeResult:
 
 
 def has_host_tree(h: Hypergraph, search_limit: int = 9) -> HostTreeResult:
-    """Exhaustive search for a spanning tree in which every hyperedge
-    induces a subtree.
+    """Exact test for a spanning tree in which every hyperedge induces a
+    subtree.
 
-    Enumerates all labeled trees on the vertex set, one per parent
-    vector rooted at the first processed vertex, pruning on a monotone
-    invariant: paths inside a growing forest are final, so two
-    components may only be joined across a hyperedge that straddles
-    them by an edge whose endpoints both lie in that hyperedge.  Exact
-    up to search_limit vertices; "unknown" beyond, never a heuristic.
+    Weight each vertex pair by the number of hyperedges containing both.
+    A spanning tree T then weighs sum_e |E(T[e])| <= sum_e (|e| - 1), with
+    equality iff every hyperedge induces a subtree, so a host tree exists
+    iff a maximum-weight spanning tree reaches the bound, and that tree is
+    one (the join-tree test: Bernstein & Goodman 1981, Tarjan & Yannakakis
+    1984).  Above search_limit vertices the answer is "unknown".
     """
     m = len(h.vertices)
     if m > search_limit:
         return HostTreeResult("unknown")
-    labels = tuple(str(lab) for lab in h.vertices)
-    if m <= 1:
-        return HostTreeResult("yes", simple_graph(m, [], labels))
-    edge_masks = [sum(1 << v for v in e) for e in h.edges]
-
-    # processing/candidate order is pure heuristic: tightly constrained
-    # vertices first, co-hyperedge partners as preferred parents
-    membership = [sum(1 for em in edge_masks if em >> v & 1) for v in range(m)]
-    order = sorted(range(m), key=lambda v: (-membership[v], v))
-    shares = [0] * m
-    for em in edge_masks:
-        rest = em
-        while rest:
-            bit = rest & -rest
-            rest &= rest - 1
-            shares[bit.bit_length() - 1] |= em
-    cand_order = [sorted((u for u in range(m) if u != v),
-                         key=lambda u: (not shares[v] >> u & 1, u))
-                  for v in range(m)]
-
-    comp_id = list(range(m))
-    comp_mask = [1 << v for v in range(m)]
+    weight = [[0] * m for _ in range(m)]
+    for e in h.edges:
+        for i in e:
+            for j in e:
+                weight[i][j] += 1
+    # Prim from vertex 0; weight-0 pairs are allowed, so the tree spans
     chosen: list[tuple[int, int]] = []
-
-    def attach(step: int) -> bool:
-        if step == m:
-            return True
-        v = order[step]
-        for u in cand_order[v]:
-            cu, cv = comp_id[u], comp_id[v]
-            if cu == cv:
-                continue
-            mu, mv = comp_mask[cu], comp_mask[cv]
-            ebit = (1 << u) | (1 << v)
-            ok = True
-            for em in edge_masks:
-                if em & mu and em & mv and (em & ebit) != ebit:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            merged = mu | mv
-            saved = [w for w in range(m) if comp_id[w] == cv]
-            for w in saved:
-                comp_id[w] = cu
-            comp_mask[cu] = merged
-            chosen.append((min(u, v), max(u, v)))
-            if attach(step + 1):
-                return True
-            chosen.pop()
-            comp_mask[cu] = mu
-            for w in saved:
-                comp_id[w] = cv
-        return False
-
-    if attach(1):
-        tree = simple_graph(m, chosen, labels)
-        if not verify_host_tree(h, tree):
-            raise AssertionError("search produced an invalid host tree")
-        return HostTreeResult("yes", tree)
-    return HostTreeResult("no")
-
-
-def host_tree_relabelled(result: HostTreeResult, h_from: Hypergraph,
-                         h_to: Hypergraph, mapping: dict) -> HostTreeResult:
-    """Carry a host-tree answer across an isomorphism given as a label map.
-
-    Host-tree existence is an isomorphism invariant; a "yes" witness is
-    re-indexed through the mapping and re-verified on the target."""
-    if result.status != "yes":
-        return result
-    index_map = {h_from.vertex_index(a): h_to.vertex_index(b)
-                 for a, b in mapping.items()}
-    tree = simple_graph(len(h_to.vertices),
-                        [(index_map[u], index_map[v]) for u, v in result.tree.edges],
-                        [str(lab) for lab in h_to.vertices])
-    if not verify_host_tree(h_to, tree):
-        raise AssertionError("witness did not survive relabelling")
+    total = 0
+    outside = list(range(1, m))
+    best = list(weight[0]) if m else []
+    link = [0] * m
+    while outside:
+        v = max(outside, key=best.__getitem__)
+        outside.remove(v)
+        total += best[v]
+        chosen.append((link[v], v))
+        for u in outside:
+            if weight[v][u] > best[u]:
+                best[u] = weight[v][u]
+                link[u] = v
+    if total < sum(len(e) - 1 for e in h.edges):
+        return HostTreeResult("no")
+    tree = simple_graph(m, chosen, tuple(str(lab) for lab in h.vertices))
+    if not verify_host_tree(h, tree):
+        raise AssertionError("maximum-weight spanning tree is not a host tree")
     return HostTreeResult("yes", tree)
 
 

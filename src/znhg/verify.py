@@ -9,11 +9,7 @@ one evaluator, _evaluate(), where each check is defined once; analyze
 runs every sweep check except iso.
 
 No isomorphism is searched for.  The iso check verifies the explicit
-map d -> n/d, exact because gcd(n/d, n/d') = n/lcm(d, d').  Host-tree
-searches are cached per exponent pattern: each hypergraph is relabelled
-by exponent vectors into a pattern hypergraph, equal for every n of the
-pattern, and results come back through that relabelling with every
-witness re-verified on the query n.
+map d -> n/d, exact because gcd(n/d, n/d') = n/lcm(d, d').
 """
 
 from __future__ import annotations
@@ -25,10 +21,10 @@ import os
 from dataclasses import dataclass, field
 
 from . import classify, metrics, topology
-from .arith import Factorization, exponent_vector, factorize, factorize_range
+from .arith import Factorization, factorize, factorize_range
 from .classify import COMPUTED_FIELDS, FORMULA_ONLY_FIELDS, Classification
 from .hypergraph import (Hypergraph, build_comaximal_hypergraph,
-                         build_intersection_hypergraph, canonical_hypergraph)
+                         build_intersection_hypergraph)
 
 SCHEMA = "znhg/1"
 ALL_CHECKS = ("diameter", "girth", "chromatic", "star", "hypertree",
@@ -116,7 +112,6 @@ def analyze(n: int, host_tree_limit: int = DEFAULT_HOST_TREE_LIMIT) -> AnalysisR
     """Full report for one n: build, compute, predict, compare."""
     if n < 2:
         raise ValueError("analysis needs n >= 2")
-    _check_host_tree_limit(host_tree_limit)
     f = factorize(n)
     h = build_intersection_hypergraph(f)
     pred = classify.predict(f)
@@ -181,44 +176,10 @@ class SweepResult:
         return len(self.findings)
 
 
-def _check_host_tree_limit(limit: int) -> None:
-    # the exhaustive search takes seconds at 10 vertices and about a
-    # minute at 11, so the default is also the largest limit accepted
-    if limit > DEFAULT_HOST_TREE_LIMIT:
-        raise ValueError(f"host-tree limit {limit} exceeds the maximum "
-                         f"{DEFAULT_HOST_TREE_LIMIT}")
-
-
-# host-tree searches per exponent pattern; an entry (pattern hypergraph,
-# its exact result) serves only a query with an equal pattern hypergraph
-_host_tree_cache: dict[tuple[int, ...], tuple[Hypergraph, metrics.HostTreeResult]] = {}
-
-
-def _pattern_hypergraph(f: Factorization, h: Hypergraph) -> tuple[Hypergraph, dict]:
-    """h relabelled by exponent vectors, primes by ascending exponent (ties
-    in prime order), vertices sorted: one Hypergraph per exponent pattern.
-    Also returns the map from its labels back to h's."""
-    order = sorted(range(f.omega), key=lambda i: f.exponents[i])
-    labels = [tuple(exponent_vector(d, f)[i] for i in order) for d in h.vertices]
-    rank = {lab: k for k, lab in enumerate(sorted(labels))}
-    pattern = canonical_hypergraph(sorted(labels),
-                                   [[rank[labels[v]] for v in e] for e in h.edges])
-    return pattern, dict(zip(labels, h.vertices))
-
-
 def cached_host_tree(f: Factorization, h: Hypergraph,
                      limit: int) -> metrics.HostTreeResult:
-    if len(h.vertices) > limit:
-        return metrics.HostTreeResult("unknown")
-    key = tuple(sorted(f.exponents))
-    pattern, to_h = _pattern_hypergraph(f, h)
-    hit = _host_tree_cache.get(key)
-    if hit is not None and hit[0] == pattern:
-        result = hit[1]
-    else:
-        result = metrics.has_host_tree(pattern, limit)
-        _host_tree_cache.setdefault(key, (pattern, result))
-    return metrics.host_tree_relabelled(result, pattern, h, to_h)
+    """The exact host-tree answer for h; f is unused and kept for callers."""
+    return metrics.has_host_tree(h, limit)
 
 
 def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
@@ -254,12 +215,15 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
         facts["girth"] = metrics.girth(h)
         compare("girth", "girth", facts["girth"], pred.girth)
     if "chromatic" in checks:
-        chi = facts["chromatic"] = metrics.chromatic_number(h)
         try:
             metrics.constructive_two_coloring(f, h)
             proper = True
         except metrics.ColoringContradiction:
             proper = False
+        # a proper A/B split of a hypergraph with an edge proves chi = 2,
+        # so the backtracking search runs only when the split fails
+        chi = facts["chromatic"] = (2 if proper and h.edges
+                                    else metrics.chromatic_number(h))
         facts["two_coloring_proper"] = proper
         compare("chromatic", "chromatic", chi, pred.chromatic,
                 agree=chi == pred.chromatic and proper,
@@ -314,7 +278,6 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
         raise ValueError("need 2 <= lo <= hi")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    _check_host_tree_limit(host_tree_limit)
     jobs = min(jobs, os.cpu_count() or 1)
     unknown_checks = set(checks) - set(ALL_CHECKS)
     if unknown_checks:

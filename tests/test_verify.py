@@ -89,19 +89,52 @@ def test_cached_host_tree_matches_direct_search():
         assert cached_host_tree(f, h, 9).status == has_host_tree(h, 9).status, f.n
 
 
-def test_cached_host_tree_survives_poisoned_cache(monkeypatch):
-    # an entry whose representative is not isomorphic to the query must be
-    # ignored in favour of a direct search, never trusted
+def test_no_host_tree_yes_escapes_verification(monkeypatch):
+    # n = 30 has a host tree; if its check fails, no "yes" may come back
     from znhg import verify as v
 
-    f = factorize_range(60, 60)[0]
-    h = build_intersection_hypergraph(f)
-    wrong_f = factorize_range(30, 30)[0]
-    wrong_h = build_intersection_hypergraph(wrong_f)
-    key = tuple(sorted(f.exponents))
-    monkeypatch.setitem(v._host_tree_cache, key,
-                        (wrong_h, has_host_tree(wrong_h, 9)))
-    assert cached_host_tree(f, h, 9).status == "no"
+    monkeypatch.setattr(v.metrics, "verify_host_tree", lambda h, tree: False)
+    f = factorize_range(30, 30)[0]
+    with pytest.raises(AssertionError):
+        cached_host_tree(f, build_intersection_hypergraph(f), 9)
+
+
+def test_sweep_decides_every_host_tree_with_a_large_limit():
+    r = run_sweep(2, 5000, ("hypertree",), host_tree_limit=10**6)
+    assert r.hypertree_unknown == 0
+    assert r.total_findings == 0
+
+
+def test_proper_split_certifies_chromatic_two_without_search(monkeypatch):
+    from znhg import verify as v
+
+    def no_search(h):
+        raise AssertionError("chromatic backtracking called")
+
+    monkeypatch.setattr(v.metrics, "chromatic_number", no_search)
+    assert run_sweep(2, 400, ("chromatic",)).total_findings == 0
+    assert analyze(360).findings == []
+
+
+def test_improper_split_falls_back_to_search_and_is_reported(monkeypatch):
+    from znhg import verify as v
+
+    def improper(f, h):
+        raise v.metrics.ColoringContradiction("forced")
+
+    real_chromatic = v.metrics.chromatic_number
+    searched = []
+
+    def recording_chromatic(h):
+        searched.append(h)
+        return real_chromatic(h)
+
+    monkeypatch.setattr(v.metrics, "constructive_two_coloring", improper)
+    monkeypatch.setattr(v.metrics, "chromatic_number", recording_chromatic)
+    r = run_sweep(30, 30, ("chromatic",))
+    assert [(f.n, f.check, f.computed) for f in r.findings] == [
+        (30, "chromatic", "2 (A/B split improper)")]
+    assert len(searched) == 1
 
 
 def test_z_n_path_runs_no_isomorphism_search(monkeypatch):
