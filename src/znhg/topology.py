@@ -5,6 +5,11 @@ both kinds of certificate -- a rotation system for planar graphs, a
 Kuratowski subdivision for nonplanar ones -- are re-verified here by
 independent code.  is_planar verifies the certificate once, before
 returning, and raises if it fails, so callers never re-check it.
+
+hypergraph_planar is the generic path: it knows nothing of Z_n and
+extracts a Kuratowski witness by bisection.  verify lifts witnesses from
+base patterns instead and falls back to it; the tests use it as the
+independent oracle.
 """
 
 from __future__ import annotations

@@ -10,10 +10,22 @@ runs every sweep check except iso.
 
 No isomorphism is searched for.  The iso check verifies the explicit
 map d -> n/d, exact because gcd(n/d, n/d') = n/lcm(d, d').
+
+Nonplanarity witnesses are lifted, not searched for.  Two vertices are
+compatible iff their deficiency sets {i : r_i < alpha_i} are disjoint,
+and the shift r -> r + (alpha - beta) on primes matched to a pattern
+beta <= alpha keeps exactly that, so the incidence graph of a beta-number
+embeds in n's and a Kuratowski witness of it maps in edge for edge.
+Every nonplanar pattern dominates one of _PLANARITY_BASES; each base's
+witness is found once per process by topology.hypergraph_planar.  A
+lifted witness counts only after verify_kuratowski_witness accepts it
+on n's own incidence graph; every other n, planar or not, takes the
+generic LR path.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import multiprocessing
@@ -21,7 +33,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import classify, metrics, topology
-from .arith import Factorization, factorize, factorize_range
+from .arith import Factorization, exponent_vector, factorize, factorize_range
 from .classify import COMPUTED_FIELDS, FORMULA_ONLY_FIELDS, Classification
 from .hypergraph import (Hypergraph, build_comaximal_hypergraph,
                          build_intersection_hypergraph)
@@ -108,10 +120,16 @@ class AnalysisReport:
         )
 
 
+def _check_host_tree_limit(limit: int) -> None:
+    if limit < 0:
+        raise ValueError(f"need host-tree-limit >= 0, got {limit}")
+
+
 def analyze(n: int, host_tree_limit: int = DEFAULT_HOST_TREE_LIMIT) -> AnalysisReport:
     """Full report for one n: build, compute, predict, compare."""
     if n < 2:
         raise ValueError("analysis needs n >= 2")
+    _check_host_tree_limit(host_tree_limit)
     f = factorize(n)
     h = build_intersection_hypergraph(f)
     pred = classify.predict(f)
@@ -182,6 +200,85 @@ def cached_host_tree(f: Factorization, h: Hypergraph,
     return metrics.has_host_tree(h, limit)
 
 
+# the minimal nonplanar exponent patterns, tried in this order
+_PLANARITY_BASES = ((3, 3), (1, 2, 2), (1, 1, 3), (1, 1, 1, 1))
+
+
+@functools.cache
+def _base_witness(base: tuple[int, ...]) -> tuple[str, tuple]:
+    """The Kuratowski witness of the smallest n of a base pattern.
+
+    That n puts the exponents, in descending order, on 2, 3, 5, 7.
+    Returns (kind, edges); an edge is (vertex exponent vector, frozenset
+    of the hyperedge's vertex exponent vectors).
+    """
+    beta = sorted(base, reverse=True)
+    f = factorize(math.prod(p**b for p, b in zip((2, 3, 5, 7), beta)))
+    h = build_intersection_hypergraph(f)
+    res = topology.hypergraph_planar(h)
+    exps = [exponent_vector(d, f) for d in h.vertices]
+    # bipartite: every witness edge runs from a vertex node to an edge node
+    return res.witness_kind, tuple(
+        (exps[u], frozenset(exps[i] for i in h.edges[e - len(exps)]))
+        for u, e in res.witness.sorted_edges())
+
+
+def _dominated_base(exponents: tuple[int, ...]):
+    """(base, beta, sigma) for the first base n's exponents dominate.
+
+    beta is the base sorted descending; sigma maps base coordinate j to
+    the index of the prime of n at the same rank, ties in prime order.
+    """
+    order = sorted(range(len(exponents)), key=lambda i: -exponents[i])
+    for base in _PLANARITY_BASES:
+        beta = sorted(base, reverse=True)
+        if len(beta) <= len(order) and all(
+                b <= exponents[i] for b, i in zip(beta, order)):
+            return base, beta, order[:len(beta)]
+    return None
+
+
+def _lift_vertex(r, beta, alphas, sigma) -> tuple[int, ...]:
+    """n's exponents for base vertex r: alpha - beta + r on the matched
+    primes, alpha on the rest."""
+    exps = list(alphas)
+    for j, i in enumerate(sigma):
+        exps[i] += r[j] - beta[j]
+    return tuple(exps)
+
+
+def _lifted_planarity(f: Factorization,
+                      h: Hypergraph) -> topology.PlanarityResult | None:
+    """A checked nonplanarity certificate lifted from a base, or None."""
+    found = _dominated_base(f.exponents)
+    if found is None:
+        return None
+    base, beta, sigma = found
+    kind, base_edges = _base_witness(base)
+    index = {d: i for i, d in enumerate(h.vertices)}
+
+    def node(r):
+        exps = _lift_vertex(r, beta, f.exponents, sigma)
+        return index.get(math.prod(p**e for p, e in zip(f.primes, exps)))
+
+    nv = len(h.vertices)
+    edge_node = {}
+    for c in {c for _, c in base_edges}:
+        # by maximality the first hyperedge holding the image meets it
+        # exactly there
+        image = {node(r) for r in c}
+        edge_node[c] = next((nv + j for j, e in enumerate(h.edges)
+                             if image.issubset(e)), None)
+    pairs = [(node(r), edge_node[c]) for r, c in base_edges]
+    if any(u is None or v is None for u, v in pairs):
+        return None
+    g = topology.incidence_graph(h)
+    witness = topology.simple_graph(g.vertex_count, pairs, g.labels)
+    if topology.verify_kuratowski_witness(g, witness) != kind:
+        return None
+    return topology.PlanarityResult(False, witness=witness, witness_kind=kind)
+
+
 def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
               checks, host_tree_limit: int) -> tuple[list, dict]:
     """Run the selected checks on h against the prediction for n.
@@ -241,9 +338,10 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
                     computed_text=status,
                     predicted_text="yes" if pred.hypertree else "no")
     if "planarity" in checks:
-        # is_planar verifies the certificate it returns and raises if it
-        # fails, so a result reaching here always carries a valid one
-        res = topology.hypergraph_planar(h)
+        # a lifted witness is checked before it is returned, and is_planar
+        # verifies its certificate and raises if it fails, so a result
+        # reaching here always carries a valid one
+        res = _lifted_planarity(f, h) or topology.hypergraph_planar(h)
         facts["planar"] = res.planar
         if not res.planar:
             facts["planarity_witness"] = res.witness_kind
@@ -278,6 +376,7 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
         raise ValueError("need 2 <= lo <= hi")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
+    _check_host_tree_limit(host_tree_limit)
     jobs = min(jobs, os.cpu_count() or 1)
     unknown_checks = set(checks) - set(ALL_CHECKS)
     if unknown_checks:

@@ -18,9 +18,11 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("argv", [("analyze", "8"), ("analyze", "30"),
-                                  ("analyze", "216"), ("sweep", "2", "120")])
+                                  ("analyze", "216"), ("sweep", "2", "120"),
+                                  ("analyze", "840")])
 def test_json_output_matches_golden(capsys, argv):
-    # empty, planar, nonplanar with its witness, and a sweep summary
+    # empty, planar, nonplanar with its witness, a sweep summary, and a
+    # witness lifted from a base of another kind than bisection finds
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert out == (GOLDEN / ("_".join(argv) + ".json")).read_text()
@@ -262,3 +264,19 @@ def test_export_to_missing_directory_exits_1(capsys, tmp_path):
     assert out == ""
     assert err.startswith("znhg: error:")
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [("analyze", "30", "--host-tree-limit", "-1"),
+                                  ("sweep", "2", "30", "--host-tree-limit", "-3")])
+def test_negative_host_tree_limit_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "host-tree-limit" in err
+
+
+def test_host_tree_limit_zero_is_valid(capsys):
+    code, out, _ = run(capsys, "analyze", "30", "--host-tree-limit", "0",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["computed"]["host_tree"] == "unknown"

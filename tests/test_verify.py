@@ -218,3 +218,95 @@ def test_run_sweep_bounds_jobs(monkeypatch):
         with pytest.raises(ValueError):
             run_sweep(2, 80, checks, jobs=jobs)
     assert pools == [3, 2]
+
+
+def test_lifted_witness_exists_exactly_for_nonplanar_patterns(builds5000):
+    # the embedding lemma: every nonplanar pattern dominates a base, no
+    # planar one does, and the shifted witness is a Kuratowski subdivision
+    # of n's own incidence graph
+    from znhg import classify, topology
+    from znhg import verify as v
+
+    lifted = 0
+    for f, h in builds5000.values():
+        if f.omega < 2:
+            continue
+        res = v._lifted_planarity(f, h)
+        assert (res is not None) == (not classify.predict(f).planar), f.n
+        if res is not None:
+            lifted += 1
+            assert not res.planar
+            kind = topology.verify_kuratowski_witness(
+                topology.incidence_graph(h), res.witness)
+            assert kind == res.witness_kind, f.n
+    assert lifted == 812
+
+
+def _drop_last_edge(real):
+    def truncated(base):
+        kind, edges = real(base)
+        return kind, edges[:-1]
+    return truncated
+
+
+@pytest.mark.parametrize("breakage", ["identity map", "truncated witness"])
+def test_broken_lift_falls_back_to_bisection(monkeypatch, breakage):
+    # a refused lift (an image not found, or a witness the Kuratowski
+    # check rejects) falls back to the bisection with unchanged output; the
+    # first sweep also finds the four base witnesses, so every bisection
+    # counted below is a fallback
+    from znhg import topology
+    from znhg import verify as v
+    from znhg.verify import sweep_to_json
+
+    expected = sweep_to_json(run_sweep(2, 1000, ("planarity",)))
+    if breakage == "identity map":
+        monkeypatch.setattr(v, "_lift_vertex", lambda r, *shift: tuple(r))
+    else:
+        monkeypatch.setattr(v, "_base_witness", _drop_last_edge(v._base_witness))
+    refused, rejected, bisections = [], [], []
+    real_lift = v._lifted_planarity
+    real_check = topology.verify_kuratowski_witness
+    real_core = topology._minimal_nonplanar_core
+
+    def lift(f, h):
+        res = real_lift(f, h)
+        if res is None and v._dominated_base(f.exponents):
+            refused.append(f.n)
+        return res
+
+    def check(host, witness):
+        kind = real_check(host, witness)
+        if kind is None:
+            rejected.append(witness)
+        return kind
+
+    def core(vertex_count, edges):
+        bisections.append(vertex_count)
+        return real_core(vertex_count, edges)
+
+    monkeypatch.setattr(v, "_lifted_planarity", lift)
+    monkeypatch.setattr(topology, "verify_kuratowski_witness", check)
+    monkeypatch.setattr(topology, "_minimal_nonplanar_core", core)
+    assert sweep_to_json(run_sweep(2, 1000, ("planarity",))) == expected
+    assert refused and len(bisections) == len(refused)
+    if breakage == "truncated witness":
+        # every image is found, so the Kuratowski check is what refuses
+        assert len(rejected) == len(refused) == 89
+
+
+def test_no_bisection_for_an_n_that_dominates_a_base(monkeypatch):
+    from znhg import topology
+    from znhg import verify as v
+
+    for base in v._PLANARITY_BASES:
+        v._base_witness(base)
+
+    def no_bisection(vertex_count, edges):
+        raise AssertionError("bisection ran")
+
+    monkeypatch.setattr(topology, "_minimal_nonplanar_core", no_bisection)
+    assert run_sweep(2, 5000, ("planarity",)).total_findings == 0
+    r = analyze(2**3 * 3**3 * 5 * 7)
+    assert r.findings == []
+    assert r.computed["planar"] is False
