@@ -4,11 +4,26 @@ Every subgroup of Z_n is <d> for a divisor d of n, so all lattice
 operations downstream reduce to componentwise min/max on the exponent
 vectors provided here.  Divisors are always produced in ascending
 numeric order; canonical forms elsewhere depend on that.
+
+One n is factored by trial division by the primes below 50, then
+deterministic Miller-Rabin and Brent's rho on what is left.  Miller-Rabin
+is a proof only below PRIMALITY_BOUND, so a larger leftover is refused;
+below it, a composite's least prime is under 1.9 * 10^12, which rho finds
+in about 10^6 steps, near a second.  Ranges of n are factored by a sieve,
+refused above SIEVE_LIMIT.
+CapabilityError, raised by every such refusal in the package, lives here
+because every module can import this one.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+
+
+class CapabilityError(RuntimeError):
+    """The request exceeds a documented limit of this library."""
 
 
 @dataclass(frozen=True)
@@ -42,34 +57,108 @@ class Factorization:
         return out
 
 
+# Miller-Rabin on the first 13 prime bases is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson & Webster, Math. Comp.
+# 86, 2017)
+PRIMALITY_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# trial division removes these, so Miller-Rabin sees only m > 47
+_SMALL_PRIMES = _BASES + (43, 47)
+# the sieve holds about 400 bytes per n: 0.4 GB and 5 s at 10^6
+SIEVE_LIMIT = 10**6
+
+
+def _is_prime(m: int) -> bool:
+    """Deterministic strong-probable-prime test on _BASES, exact for odd
+    41 < m < PRIMALITY_BOUND."""
+    d = m - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(m: int) -> int:
+    """A proper factor of the odd composite m, by Brent's variant of
+    Pollard's rho (BIT 20, 1980): iterate x -> x^2 + c, double the
+    distance between the compared points, and batch the gcds."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = math.gcd(q, m)
+                k += 128
+            r *= 2
+        if g == m:
+            # the batch overshot: step from its start one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if g != m:
+            return g
+
+
 def factorize(n: int) -> Factorization:
-    """Factor n by trial division.  Deterministic; n must be >= 1."""
+    """Factor n exactly; n must be >= 1.
+
+    Trial division by the primes below 50, then each cofactor is proven
+    prime by Miller-Rabin on _BASES or split by Brent's rho.  Everything
+    is deterministic.  Raises CapabilityError when the part of n left
+    after the small primes is PRIMALITY_BOUND or more, where the
+    primality test would no longer be a proof.
+    """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need a positive integer")
-    factors = []
+    counts: dict[int, int] = {}
     m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            factors.append((p, a))
-        p += 1 if p == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return Factorization(n, tuple(factors))
+    for p in _SMALL_PRIMES:
+        while m % p == 0:
+            m //= p
+            counts[p] = counts.get(p, 0) + 1
+    if m >= PRIMALITY_BOUND:
+        raise CapabilityError(
+            f"cannot factor {n}: {m} is left after the primes below 50, and "
+            f"primality is proven only below {PRIMALITY_BOUND}")
+    pending = [m] if m > 1 else []
+    while pending:
+        m = pending.pop()
+        if _is_prime(m):
+            counts[m] = counts.get(m, 0) + 1
+        else:
+            d = _rho_factor(m)
+            pending += [d, m // d]
+    return Factorization(n, tuple(sorted(counts.items())))
 
 
 def factorize_range(lo: int, hi: int) -> list[Factorization]:
     """Factorizations of lo..hi inclusive via a smallest-prime-factor sieve.
 
     Agrees with factorize() on every n; exists only so that range sweeps
-    do not pay trial division per n.
+    do not factor each n on its own.  Refuses hi above SIEVE_LIMIT before
+    allocating anything.
     """
     if lo < 1:
         raise ValueError(f"range must start at 1 or above, got {lo}")
+    if hi > SIEVE_LIMIT:
+        raise ValueError(f"ranges are limited to hi <= {SIEVE_LIMIT}, got {hi}")
     if hi < lo:
         return []
     spf = list(range(hi + 1))

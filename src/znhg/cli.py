@@ -11,10 +11,10 @@ import json
 import sys
 
 from . import metrics, topology, verify
-from .arith import factorize
-from .groups import (CapabilityError, build_hypergraphs_for_group, cyclic,
+from .arith import CapabilityError, factorize
+from .groups import (build_hypergraphs_for_group, check_enumerable, cyclic,
                      dihedral)
-from .hypergraph import build_intersection_hypergraph
+from .hypergraph import build_intersection_hypergraph, check_buildable
 from .verify import ALL_CHECKS, DEFAULT_HOST_TREE_LIMIT, SCHEMA
 
 EXIT_OK = 0
@@ -97,6 +97,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_group(args) -> int:
+    # the table has order^2 entries, so refuse before building it
+    check_enumerable(args.n if args.kind == "cyclic" else 2 * args.n)
     try:
         group = cyclic(args.n) if args.kind == "cyclic" else dihedral(args.n)
     except ValueError as exc:
@@ -146,6 +148,7 @@ def cmd_export(args) -> int:
         print("znhg: error: export needs n >= 2", file=sys.stderr)
         return EXIT_USAGE
     f = factorize(args.n)
+    check_buildable(f)
     h = build_intersection_hypergraph(f)
     if args.format == "dot":
         # a hypergraph's DOT form is its bipartite star expansion, so both

@@ -11,14 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .arith import CapabilityError
 from .hypergraph import Hypergraph, canonical_hypergraph, enumerate_maximal_edges
 
 SUBGROUP_ENUMERATION_LIMIT = 200
 ASSOCIATIVITY_CHECK_LIMIT = 64
 
 
-class CapabilityError(RuntimeError):
-    """The request exceeds the exhaustive-search limits of this engine."""
+def check_enumerable(order: int) -> None:
+    """Refuse a group whose subgroups this engine will not enumerate."""
+    if order > SUBGROUP_ENUMERATION_LIMIT:
+        raise CapabilityError(
+            f"subgroup enumeration is limited to order "
+            f"{SUBGROUP_ENUMERATION_LIMIT}, got {order}")
 
 
 @dataclass(frozen=True)
@@ -146,10 +151,7 @@ def all_subgroups(g: FiniteGroup) -> list[Subgroup]:
     Canonically sorted by (order, elements).  Refuses orders above
     SUBGROUP_ENUMERATION_LIMIT.
     """
-    if g.order > SUBGROUP_ENUMERATION_LIMIT:
-        raise CapabilityError(
-            f"subgroup enumeration is limited to order "
-            f"{SUBGROUP_ENUMERATION_LIMIT}, got {g.order}")
+    check_enumerable(g.order)
     cyclics = {}
     for x in range(g.order):
         s = generated_subgroup(g, (x,))

@@ -36,7 +36,7 @@ from . import classify, metrics, topology
 from .arith import Factorization, exponent_vector, factorize, factorize_range
 from .classify import COMPUTED_FIELDS, FORMULA_ONLY_FIELDS, Classification
 from .hypergraph import (Hypergraph, build_comaximal_hypergraph,
-                         build_intersection_hypergraph)
+                         build_intersection_hypergraph, check_buildable)
 
 SCHEMA = "znhg/1"
 ALL_CHECKS = ("diameter", "girth", "chromatic", "star", "hypertree",
@@ -131,6 +131,7 @@ def analyze(n: int, host_tree_limit: int = DEFAULT_HOST_TREE_LIMIT) -> AnalysisR
         raise ValueError("analysis needs n >= 2")
     _check_host_tree_limit(host_tree_limit)
     f = factorize(n)
+    check_buildable(f)
     h = build_intersection_hypergraph(f)
     pred = classify.predict(f)
     rows, computed = _evaluate(f, h, pred,

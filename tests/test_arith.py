@@ -1,10 +1,48 @@
+import time
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from znhg.arith import (Factorization, divisors, exponent_vector, factorize,
+from znhg.arith import (PRIMALITY_BOUND, SIEVE_LIMIT, CapabilityError,
+                        Factorization, divisors, exponent_vector, factorize,
                         factorize_range, from_exponents,
                         proper_nontrivial_divisors)
+
+
+def trial_division(n):
+    """The reference factorization: divide by every integer up to sqrt."""
+    counts = Counter()
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            counts[p] += 1
+            n //= p
+        p += 1
+    if n > 1:
+        counts[n] += 1
+    return tuple(sorted(counts.items()))
+
+
+def lucas_lehmer(p):
+    """2^p - 1 is prime, for an odd prime p."""
+    m, s = 2**p - 1, 4
+    for _ in range(p - 2):
+        s = (s * s - 2) % m
+    return s == 0
+
+
+def _primes_below(limit):
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return [p for p in range(limit) if sieve[p]]
+
+
+PRIMES_BELOW_10_6 = _primes_below(10**6)
 
 
 @pytest.mark.parametrize("n,factors", [
@@ -17,6 +55,73 @@ from znhg.arith import (Factorization, divisors, exponent_vector, factorize,
 ])
 def test_factorize_examples(n, factors):
     assert factorize(n) == Factorization(n, factors)
+
+
+@pytest.mark.parametrize("n", [
+    561,                         # Carmichael
+    3215031751,                  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,         # strong pseudoprime to bases 2..31
+    1000003**2 * 999983,
+])
+def test_factorize_matches_trial_division(n):
+    assert factorize(n).factors == trial_division(n)
+
+
+def test_factorize_prime_square_beyond_trial_reach():
+    # trial division of n itself would take 10^12 steps; its square root
+    # is certified prime by trial division instead
+    p = 999999999989
+    assert trial_division(p) == ((p, 1),)
+    assert factorize(p * p).factors == ((p, 2),)
+
+
+def test_factorize_mersenne_prime():
+    assert lucas_lehmer(61)
+    assert factorize(2**61 - 1).factors == ((2**61 - 1, 1),)
+
+
+def test_factorize_just_below_primality_bound():
+    n = PRIMALITY_BOUND - 1
+    f = factorize(n)
+    assert all(trial_division(p) == ((p, 1),) for p in f.primes)
+    assert f.factors == ((2, 2), (3, 4), (5, 1), (127, 1), (18778597, 1),
+                         (858557454841, 1))
+
+
+@pytest.mark.parametrize("n", [
+    PRIMALITY_BOUND,                      # strong pseudoprime to all 13 bases
+    (2**31 - 1) * (2**61 - 1),
+    7 * PRIMALITY_BOUND,
+])
+def test_factorize_refuses_cofactor_at_primality_bound(n):
+    with pytest.raises(CapabilityError, match="primality"):
+        factorize(n)
+
+
+@pytest.mark.parametrize("n,factors", [
+    (2**100, ((2, 100),)),
+    (10**30, ((2, 30), (5, 30))),
+    (47**20 * 1000003, ((47, 20), (1000003, 1))),
+])
+def test_factorize_large_n_with_small_cofactor(n, factors):
+    # the bound applies to what is left after the small primes, not to n
+    assert factorize(n).factors == factors
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES_BELOW_10_6), st.sampled_from(PRIMES_BELOW_10_6))
+def test_factorize_products_of_two_primes(p, q):
+    expected = ((p, 2),) if p == q else tuple(sorted(((p, 1), (q, 1))))
+    assert factorize(p * q).factors == expected
+
+
+def test_factorize_range_refuses_before_allocating():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="limited"):
+        factorize_range(1, 10**30)
+    with pytest.raises(ValueError, match="limited"):
+        factorize_range(1, SIEVE_LIMIT + 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_factorize_rejects_nonpositive():

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from znhg import verify
+from znhg import cli, verify
 from znhg.cli import main
 from znhg.verify import FieldComparison
 
@@ -280,3 +285,92 @@ def test_host_tree_limit_zero_is_valid(capsys):
                        "--json")
     assert code == 0
     assert json.loads(out)["computed"]["host_tree"] == "unknown"
+
+
+def test_analyze_large_prime_cofactor(capsys):
+    # 999999999989000000000121 = 3 * 31 * 37 * 199 * 1460367808220118319;
+    # trial division would run to the square root of the last factor
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "analyze", "999999999989000000000121", "--json")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(out)["factorization"] == [
+        [3, 1], [31, 1], [37, 1], [199, 1], [1460367808220118319, 1]]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("analyze", "3317044064679887385961981"), "primality"),
+    (("export", "3317044064679887385961981", "--format", "json",
+      "--target", "hypergraph"), "primality"),
+    (("analyze", "200560490130"), "678569 hyperedges"),
+    (("export", "200560490130", "--format", "dot", "--target", "incidence"),
+     "678569 hyperedges"),
+])
+def test_refusals_before_construction(capsys, monkeypatch, argv, message):
+    def refuse(f):
+        raise AssertionError(f"built the hypergraph of {f.n}")
+
+    monkeypatch.setattr(verify, "build_intersection_hypergraph", refuse)
+    monkeypatch.setattr(cli, "build_intersection_hypergraph", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("znhg: error:") and message in err
+
+
+@pytest.mark.parametrize("kind,n", [("cyclic", "100000000000000000000"),
+                                    ("dihedral", "101")])
+def test_group_order_refused_before_table(capsys, monkeypatch, kind, n):
+    def refuse(n):
+        raise AssertionError(f"built a table for {n}")
+
+    monkeypatch.setattr(cli, "cyclic", refuse)
+    monkeypatch.setattr(cli, "dihedral", refuse)
+    code, out, err = run(capsys, "group", kind, n)
+    assert code == 1
+    assert out == ""
+    assert "limited to order 200" in err
+
+
+def test_sweep_range_refused(capsys):
+    code, out, err = run(capsys, "sweep", "2", str(10**30))
+    assert code == 1
+    assert out == ""
+    assert "limited" in err
+
+
+# integers of every size, with small ones drawn often enough to run
+INTS = st.one_of(st.integers(min_value=-10, max_value=300),
+                 st.integers(min_value=-10, max_value=10**30)).map(str)
+WORDS = st.sampled_from([
+    "", "x", "1.5", "1e3", "-", "--json", "--bogus", "cyclic", "dihedral",
+    "--format", "dot", "json", "--target", "hypergraph", "incidence",
+    "--checks", "iso,planarity", "--host-tree-limit"])
+TOKENS = st.lists(st.one_of(INTS, WORDS), max_size=4)
+EXTRA = st.lists(st.one_of(INTS, WORDS), max_size=2)
+# sweeps keep hi small or beyond the sieve limit, so no example runs long
+SWEEP_HI = st.one_of(st.integers(min_value=-10, max_value=300),
+                     st.integers(min_value=10**30, max_value=10**31)).map(str)
+ARGV = st.one_of(
+    st.builds(lambda n, extra: ["analyze", n, *extra], INTS, EXTRA),
+    st.builds(lambda kind, n, extra: ["group", kind, n, *extra],
+              st.sampled_from(["cyclic", "dihedral"]), INTS, EXTRA),
+    st.builds(lambda n, fmt, target, extra: [
+        "export", n, "--format", fmt, "--target", target, *extra],
+        INTS, st.sampled_from(["dot", "json"]),
+        st.sampled_from(["hypergraph", "incidence"]), EXTRA),
+    st.builds(lambda lo, hi, extra: ["sweep", lo, hi, *extra],
+              INTS, SWEEP_HI, EXTRA),
+    st.builds(lambda command, tokens: [command, *tokens],
+              st.sampled_from(["analyze", "group", "export"]), TOKENS),
+    TOKENS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ARGV)
+def test_random_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -8,12 +8,15 @@ from itertools import combinations
 
 import pytest
 
-from znhg.arith import factorize, factorize_range, proper_nontrivial_divisors
+from znhg.arith import (CapabilityError, factorize, factorize_range,
+                        proper_nontrivial_divisors)
 from znhg.groups import Subgroup, cyclic, set_product, zn_subgroup_of_divisor
-from znhg.hypergraph import (Hypergraph, build_comaximal_hypergraph,
+from znhg.hypergraph import (MAX_HYPEREDGES, Hypergraph,
+                             build_comaximal_hypergraph,
                              build_intersection_hypergraph, canonical_hypergraph,
-                             comaximal, enumerate_maximal_edges,
-                             trivially_intersects, vertex_set)
+                             check_buildable, comaximal, enumerate_maximal_edges,
+                             intersection_edge_count, trivially_intersects,
+                             vertex_set)
 from znhg.metrics import isomorphic
 
 
@@ -162,6 +165,28 @@ def test_emptiness_and_single_edge_to_10000():
         assert (len(h.edges) == 1) == expected_single, f.n
         if not h.is_empty:
             h.validate()
+
+
+def test_edge_count_closed_form_to_7000(builds5000):
+    for n, (f, h) in builds5000.items():
+        assert intersection_edge_count(f) == len(h.edges), n
+    for f in factorize_range(5001, 7000):
+        assert intersection_edge_count(f) == len(
+            build_intersection_hypergraph(f).edges), f.n
+
+
+@pytest.mark.parametrize("n,count", [(9699690, 4139), (223092870, 21146),
+                                     (6469693230, 115974),
+                                     (200560490130, 678569)])
+def test_edge_count_of_primorials(n, count):
+    assert intersection_edge_count(factorize(n)) == count
+
+
+def test_check_buildable_bound():
+    check_buildable(factorize(223092870))
+    assert intersection_edge_count(factorize(6469693230)) > MAX_HYPEREDGES
+    with pytest.raises(CapabilityError, match="hyperedges"):
+        check_buildable(factorize(6469693230))
 
 
 def test_build_deterministic():
