@@ -9,8 +9,8 @@ One n is factored by trial division by the primes below 50, then
 deterministic Miller-Rabin and Brent's rho on what is left.  Miller-Rabin
 is a proof only below PRIMALITY_BOUND, so a larger leftover is refused;
 below it, a composite's least prime is under 1.9 * 10^12, which rho finds
-in about 10^6 steps, near a second.  Ranges of n are factored by a sieve,
-refused above SIEVE_LIMIT.
+in about 10^6 steps, near a second.  Ranges of n are factored one n at a
+time the same way and refused above RANGE_LIMIT.
 CapabilityError, raised by every such refusal in the package, lives here
 because every module can import this one.
 """
@@ -64,8 +64,9 @@ PRIMALITY_BOUND = 3317044064679887385961981
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # trial division removes these, so Miller-Rabin sees only m > 47
 _SMALL_PRIMES = _BASES + (43, 47)
-# the sieve holds about 400 bytes per n: 0.4 GB and 5 s at 10^6
-SIEVE_LIMIT = 10**6
+# bounds the time of a range sweep, not its memory, which does not grow
+# with the range
+RANGE_LIMIT = 10**6
 
 
 def _is_prime(m: int) -> bool:
@@ -120,9 +121,10 @@ def factorize(n: int) -> Factorization:
     """Factor n exactly; n must be >= 1.
 
     Trial division by the primes below 50, then each cofactor is proven
-    prime by Miller-Rabin on _BASES or split by Brent's rho.  Everything
-    is deterministic.  Raises CapabilityError when the part of n left
-    after the small primes is PRIMALITY_BOUND or more, where the
+    prime by Miller-Rabin on _BASES or split by Brent's rho; a cofactor
+    below 53^2 needs neither, since every prime left is at least 53.
+    Everything is deterministic.  Raises CapabilityError when the part of
+    n left after the small primes is PRIMALITY_BOUND or more, where the
     primality test would no longer be a proof.
     """
     if n < 1:
@@ -140,7 +142,7 @@ def factorize(n: int) -> Factorization:
     pending = [m] if m > 1 else []
     while pending:
         m = pending.pop()
-        if _is_prime(m):
+        if m < 53 * 53 or _is_prime(m):
             counts[m] = counts.get(m, 0) + 1
         else:
             d = _rho_factor(m)
@@ -148,38 +150,21 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(sorted(counts.items())))
 
 
-def factorize_range(lo: int, hi: int) -> list[Factorization]:
-    """Factorizations of lo..hi inclusive via a smallest-prime-factor sieve.
+def check_range(hi: int) -> None:
+    """Refuse a range of n past RANGE_LIMIT, before any work."""
+    if hi > RANGE_LIMIT:
+        raise ValueError(f"ranges are limited to hi <= {RANGE_LIMIT}, got {hi}")
 
-    Agrees with factorize() on every n; exists only so that range sweeps
-    do not factor each n on its own.  Refuses hi above SIEVE_LIMIT before
-    allocating anything.
+
+def factorize_range(lo: int, hi: int) -> list[Factorization]:
+    """Factorizations of lo..hi inclusive, each by factorize().
+
+    Refuses hi above RANGE_LIMIT before factoring anything.
     """
     if lo < 1:
         raise ValueError(f"range must start at 1 or above, got {lo}")
-    if hi > SIEVE_LIMIT:
-        raise ValueError(f"ranges are limited to hi <= {SIEVE_LIMIT}, got {hi}")
-    if hi < lo:
-        return []
-    spf = list(range(hi + 1))
-    for p in range(2, int(hi**0.5) + 1):
-        if spf[p] == p:
-            for m in range(p * p, hi + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
-    out = []
-    for n in range(lo, hi + 1):
-        m = n
-        factors = []
-        while m > 1:
-            p = spf[m]
-            a = 0
-            while m % p == 0:
-                m //= p
-                a += 1
-            factors.append((p, a))
-        out.append(Factorization(n, tuple(factors)))
-    return out
+    check_range(hi)
+    return [factorize(n) for n in range(lo, hi + 1)]
 
 
 def divisors(f: Factorization) -> list[int]:

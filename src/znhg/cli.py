@@ -69,11 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        report = verify.analyze(args.n, args.host_tree_limit)
-    except ValueError as exc:
-        print(f"znhg: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    report = verify.analyze(args.n, args.host_tree_limit)
     if args.json:
         print(report.to_json())
     else:
@@ -83,12 +79,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_sweep(args) -> int:
     checks = tuple(c for c in args.checks.split(",") if c)
-    try:
-        result = verify.run_sweep(args.lo, args.hi, checks,
-                                  args.host_tree_limit, args.jobs)
-    except ValueError as exc:
-        print(f"znhg: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = verify.run_sweep(args.lo, args.hi, checks,
+                              args.host_tree_limit, args.jobs)
     if args.json:
         print(verify.sweep_to_json(result))
     else:
@@ -99,11 +91,7 @@ def cmd_sweep(args) -> int:
 def cmd_group(args) -> int:
     # the table has order^2 entries, so refuse before building it
     check_enumerable(args.n if args.kind == "cyclic" else 2 * args.n)
-    try:
-        group = cyclic(args.n) if args.kind == "cyclic" else dihedral(args.n)
-    except ValueError as exc:
-        print(f"znhg: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    group = cyclic(args.n) if args.kind == "cyclic" else dihedral(args.n)
     inter, comax = build_hypergraphs_for_group(group)
     same, witness = metrics.isomorphic(inter, comax)
     if same and not metrics.verify_isomorphism(inter, comax, witness):
@@ -195,9 +183,11 @@ def main(argv=None) -> int:
         "group": cmd_group,
         "export": cmd_export,
     }
+    # a bad value (ValueError) or a request past a documented limit
+    # (CapabilityError) is refused before anything is printed
     try:
         return handlers[args.command](args)
-    except CapabilityError as exc:
+    except (CapabilityError, ValueError) as exc:
         print(f"znhg: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -195,10 +195,15 @@ def vertex_set(f: Factorization) -> list[SubgroupOfZn]:
 
 
 def comaximal_vertex_generators(f: Factorization) -> list[int]:
-    """Divisors d coprime to some other proper nontrivial divisor, ascending."""
-    divs = proper_nontrivial_divisors(f)
-    return [d for d in divs
-            if any(gcd(d, e) == 1 for e in divs if e != d)]
+    """Divisors d coprime to some other proper nontrivial divisor, ascending.
+
+    That holds iff some prime p of n does not divide d.  Then p is such a
+    partner: p < n since d > 1 brings another prime, and p != d since p
+    divides itself but not d.  Conversely every prime of a coprime
+    partner e is a prime of n that does not divide d.
+    """
+    return [d for d in proper_nontrivial_divisors(f)
+            if any(d % p for p in f.primes)]
 
 
 def intersection_edge_count(f: Factorization) -> int:

@@ -33,7 +33,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import classify, metrics, topology
-from .arith import Factorization, exponent_vector, factorize, factorize_range
+from .arith import Factorization, check_range, exponent_vector, factorize
 from .classify import COMPUTED_FIELDS, FORMULA_ONLY_FIELDS, Classification
 from .hypergraph import (Hypergraph, build_comaximal_hypergraph,
                          build_intersection_hypergraph, check_buildable)
@@ -357,11 +357,11 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
     return rows, facts
 
 
-def _sweep_one(args) -> tuple[int, list, int]:
-    f, checks, host_tree_limit = args
+def _sweep_one(n: int, checks, host_tree_limit: int) -> tuple[int, list, int]:
+    f = factorize(n)
     rows, facts = _evaluate(f, build_intersection_hypergraph(f),
                             classify.predict(f), checks, host_tree_limit)
-    return f.n, rows, int(facts.get("host_tree") == "unknown")
+    return n, rows, int(facts.get("host_tree") == "unknown")
 
 
 def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
@@ -369,9 +369,11 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
               jobs: int = 1) -> SweepResult:
     """Run the selected computed-vs-predicted comparisons for lo..hi.
 
-    Results are merged in ascending n regardless of jobs, so output is
-    deterministic across concurrency levels; jobs above the CPU count
-    are capped to it.
+    Each n is factored and evaluated on its own and folded into the
+    result as it arrives, in ascending n for every jobs value (jobs > 1
+    goes through Pool.imap, which keeps order), so output is
+    deterministic across concurrency levels and memory does not grow
+    with the range.  jobs above the CPU count are capped to it.
     """
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")
@@ -382,21 +384,29 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
     unknown_checks = set(checks) - set(ALL_CHECKS)
     if unknown_checks:
         raise ValueError(f"unknown checks: {sorted(unknown_checks)}")
+    check_range(hi)
+    if not checks:
+        raise ValueError("no checks selected; choose from: "
+                         + ",".join(ALL_CHECKS))
     checks = tuple(c for c in ALL_CHECKS if c in checks)
     result = SweepResult(lo, hi, checks, host_tree_limit,
                          compared={c: 0 for c in checks})
-    tasks = [(f, checks, host_tree_limit) for f in factorize_range(lo, hi)]
+
+    def fold(outcomes):
+        for n, rows, unknown in outcomes:
+            result.hypertree_unknown += unknown
+            for check, _, _, _, agree, comp, predicted in rows:
+                result.compared[check] += 1
+                if not agree:
+                    result.findings.append(Finding(n, check, comp, predicted))
+
+    one = functools.partial(_sweep_one, checks=checks,
+                            host_tree_limit=host_tree_limit)
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(_sweep_one, tasks, chunksize=64)
+            fold(pool.imap(one, range(lo, hi + 1), chunksize=64))
     else:
-        rows = [_sweep_one(t) for t in tasks]
-    for n, outcomes, unknown in sorted(rows):
-        result.hypertree_unknown += unknown
-        for check, _, _, _, agree, comp, predicted in outcomes:
-            result.compared[check] += 1
-            if not agree:
-                result.findings.append(Finding(n, check, comp, predicted))
+        fold(map(one, range(lo, hi + 1)))
     return result
 
 

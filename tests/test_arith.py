@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from znhg.arith import (PRIMALITY_BOUND, SIEVE_LIMIT, CapabilityError,
+from znhg.arith import (PRIMALITY_BOUND, RANGE_LIMIT, CapabilityError,
                         Factorization, divisors, exponent_vector, factorize,
                         factorize_range, from_exponents,
                         proper_nontrivial_divisors)
@@ -120,7 +120,7 @@ def test_factorize_range_refuses_before_allocating():
     with pytest.raises(ValueError, match="limited"):
         factorize_range(1, 10**30)
     with pytest.raises(ValueError, match="limited"):
-        factorize_range(1, SIEVE_LIMIT + 1)
+        factorize_range(1, RANGE_LIMIT + 1)
     assert time.perf_counter() - start < 1
 
 
@@ -149,6 +149,25 @@ def test_product_reconstruction_sampled(n):
     for p, a in f.factors:
         prod *= p**a
     assert prod == n
+
+
+def test_factorize_matches_a_sieve_to_30000():
+    # a smallest-prime-factor sieve is the dense reference; it covers every
+    # leftover around 53^2, below which factorize skips Miller-Rabin
+    limit = 30000
+    spf = list(range(limit))
+    for p in range(2, int(limit**0.5) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit, p):
+                if spf[m] == m:
+                    spf[m] = p
+    for n in range(1, limit):
+        counts = Counter()
+        m = n
+        while m > 1:
+            counts[spf[m]] += 1
+            m //= spf[m]
+        assert factorize(n).factors == tuple(sorted(counts.items())), n
 
 
 def test_factorize_range_matches_factorize():

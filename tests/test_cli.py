@@ -163,6 +163,14 @@ def test_sweep_rejects_unknown_check(capsys):
     assert "unknown checks" in err
 
 
+@pytest.mark.parametrize("checks", ["", ","])
+def test_sweep_rejects_empty_checks(capsys, checks):
+    code, out, err = run(capsys, "sweep", "2", "10", "--checks", checks)
+    assert code == 1
+    assert out == ""
+    assert "znhg: error: no checks selected" in err
+
+
 def test_sweep_rejects_jobs_below_one(capsys):
     code, _, err = run(capsys, "sweep", "2", "10", "--jobs", "0")
     assert code == 1
@@ -348,7 +356,7 @@ WORDS = st.sampled_from([
     "--checks", "iso,planarity", "--host-tree-limit"])
 TOKENS = st.lists(st.one_of(INTS, WORDS), max_size=4)
 EXTRA = st.lists(st.one_of(INTS, WORDS), max_size=2)
-# sweeps keep hi small or beyond the sieve limit, so no example runs long
+# sweeps keep hi small or beyond the range limit, so no example runs long
 SWEEP_HI = st.one_of(st.integers(min_value=-10, max_value=300),
                      st.integers(min_value=10**30, max_value=10**31)).map(str)
 ARGV = st.one_of(

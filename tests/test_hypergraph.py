@@ -14,7 +14,8 @@ from znhg.groups import Subgroup, cyclic, set_product, zn_subgroup_of_divisor
 from znhg.hypergraph import (MAX_HYPEREDGES, Hypergraph,
                              build_comaximal_hypergraph,
                              build_intersection_hypergraph, canonical_hypergraph,
-                             check_buildable, comaximal, enumerate_maximal_edges,
+                             check_buildable, comaximal,
+                             comaximal_vertex_generators, enumerate_maximal_edges,
                              intersection_edge_count, trivially_intersects,
                              vertex_set)
 from znhg.metrics import isomorphic
@@ -99,6 +100,14 @@ def test_vertex_set_matches_brute_force_to_10000():
     for f in factorize_range(2, 10000):
         got = [v.generator for v in vertex_set(f)]
         assert got == brute_force_vertex_generators(f), f.n
+
+
+def test_comaximal_vertices_match_pairwise_definition_to_3000():
+    for f in factorize_range(2, 3000):
+        divs = proper_nontrivial_divisors(f)
+        pairwise = [d for d in divs
+                    if any(math.gcd(d, e) == 1 for e in divs if e != d)]
+        assert comaximal_vertex_generators(f) == pairwise, f.n
 
 
 def test_enumerate_maximal_edges_complete_triple():

@@ -204,8 +204,8 @@ def test_run_sweep_bounds_jobs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return [fn(t) for t in tasks]
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
 
     monkeypatch.setattr(v.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(v.multiprocessing, "Pool", FakePool)
@@ -218,6 +218,35 @@ def test_run_sweep_bounds_jobs(monkeypatch):
         with pytest.raises(ValueError):
             run_sweep(2, 80, checks, jobs=jobs)
     assert pools == [3, 2]
+
+
+def test_sweep_factors_each_n_where_it_evaluates_it(monkeypatch):
+    # factoring and evaluation alternate in ascending n, so no list of
+    # the range is built first, and a range past the limit is refused
+    # before anything is factored
+    from znhg import verify as v
+    from znhg.arith import RANGE_LIMIT
+
+    events = []
+    real_factorize, real_evaluate = v.factorize, v._evaluate
+
+    def factorize(n):
+        events.append(("factor", n))
+        return real_factorize(n)
+
+    def evaluate(f, *args):
+        events.append(("evaluate", f.n))
+        return real_evaluate(f, *args)
+
+    monkeypatch.setattr(v, "factorize", factorize)
+    monkeypatch.setattr(v, "_evaluate", evaluate)
+    run_sweep(2, 60, ("diameter", "emptiness"))
+    assert events == [(kind, n) for n in range(2, 61)
+                      for kind in ("factor", "evaluate")]
+    events.clear()
+    with pytest.raises(ValueError, match="limited"):
+        run_sweep(2, RANGE_LIMIT + 1, ("emptiness",))
+    assert events == []
 
 
 def test_lifted_witness_exists_exactly_for_nonplanar_patterns(builds5000):
