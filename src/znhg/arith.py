@@ -62,6 +62,12 @@ class Factorization:
 # 86, 2017)
 PRIMALITY_BOUND = 3317044064679887385961981
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_k, the least strong pseudoprime to the first k bases (OEIS A014233):
+# the first k bases decide every odd m < psi_k
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051,
+        3825123056546413051, 3825123056546413051,
+        318665857834031151167461, PRIMALITY_BOUND)
 # trial division removes these, so Miller-Rabin sees only m > 47
 _SMALL_PRIMES = _BASES + (43, 47)
 # bounds the time of a range sweep, not its memory, which does not grow
@@ -70,21 +76,23 @@ RANGE_LIMIT = 10**6
 
 
 def _is_prime(m: int) -> bool:
-    """Deterministic strong-probable-prime test on _BASES, exact for odd
-    41 < m < PRIMALITY_BOUND."""
+    """Deterministic strong-probable-prime test, exact for odd
+    41 < m < PRIMALITY_BOUND: it stops after the first k bases, k the
+    least with m < psi_k."""
     d = m - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _BASES:
+    for a, psi in zip(_BASES, _PSI):
         x = pow(a, d, m)
-        if x == 1 or x == m - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != m - 1:
+            for _ in range(s - 1):
+                x = x * x % m
+                if x == m - 1:
+                    break
+            else:
+                return False
+        if m < psi:
+            return True
     return True
 
 
@@ -121,7 +129,7 @@ def factorize(n: int) -> Factorization:
     """Factor n exactly; n must be >= 1.
 
     Trial division by the primes below 50, then each cofactor is proven
-    prime by Miller-Rabin on _BASES or split by Brent's rho; a cofactor
+    prime by Miller-Rabin (_is_prime) or split by Brent's rho; a cofactor
     below 53^2 needs neither, since every prime left is at least 53.
     Everything is deterministic.  Raises CapabilityError when the part of
     n left after the small primes is PRIMALITY_BOUND or more, where the

@@ -1,23 +1,25 @@
 """Simple graphs, incidence graphs and certified planarity.
 
-Planarity decisions are delegated to networkx's left-right test, but
+is_planar decides planarity by networkx's left-right (LR) test, and
 both kinds of certificate -- a rotation system for planar graphs, a
 Kuratowski subdivision for nonplanar ones -- are re-verified here by
 independent code.  is_planar verifies the certificate once, before
 returning, and raises if it fails, so callers never re-check it.
 
 hypergraph_planar is the generic path: it knows nothing of Z_n and
-extracts a Kuratowski witness by bisection.  verify lifts witnesses from
-base patterns instead and falls back to it; the tests use it as the
-independent oracle.
+extracts a Kuratowski witness by bisection.  On Z_n, verify builds both
+kinds of certificate from the exponent pattern instead, checks them with
+verify_rotation_system and verify_kuratowski_witness, and calls
+hypergraph_planar only when a check fails; the tests use it as the
+independent oracle.  networkx is imported inside the two functions that
+run the LR test, so a process that never takes the generic path never
+loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import networkx as nx
 
 from .hypergraph import Hypergraph
 
@@ -150,6 +152,8 @@ class PlanarityResult:
 
 
 def _edges_planar(vertex_count: int, *edge_groups) -> bool:
+    import networkx as nx
+
     ng = nx.Graph()
     ng.add_nodes_from(range(vertex_count))
     for group in edge_groups:
@@ -185,6 +189,8 @@ def _minimal_nonplanar_core(vertex_count: int, edges: list) -> list:
 
 def is_planar(g: SimpleGraph) -> PlanarityResult:
     """Planarity with a verified certificate either way."""
+    import networkx as nx
+
     ng = nx.Graph()
     ng.add_nodes_from(range(g.vertex_count))
     ng.add_edges_from(g.sorted_edges())

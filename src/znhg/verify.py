@@ -11,16 +11,21 @@ runs every sweep check except iso.
 No isomorphism is searched for.  The iso check verifies the explicit
 map d -> n/d, exact because gcd(n/d, n/d') = n/lcm(d, d').
 
-Nonplanarity witnesses are lifted, not searched for.  Two vertices are
-compatible iff their deficiency sets {i : r_i < alpha_i} are disjoint,
-and the shift r -> r + (alpha - beta) on primes matched to a pattern
-beta <= alpha keeps exactly that, so the incidence graph of a beta-number
-embeds in n's and a Kuratowski witness of it maps in edge for edge.
-Every nonplanar pattern dominates one of _PLANARITY_BASES; each base's
-witness is found once per process by topology.hypergraph_planar.  A
-lifted witness counts only after verify_kuratowski_witness accepts it
-on n's own incidence graph; every other n, planar or not, takes the
-generic LR path.
+Nor is planarity searched for: both certificates are built from the
+exponent pattern.  Two vertices are compatible iff their deficiency sets
+{i : r_i < alpha_i} are disjoint, and the shift r -> r + (alpha - beta)
+on primes matched to a pattern beta <= alpha keeps exactly that, so the
+incidence graph of a beta-number embeds in n's and a Kuratowski witness
+of it maps in edge for edge.  Every nonplanar pattern dominates one of
+_PLANARITY_BASES, whose witnesses are stored as literal data.  The
+planar patterns are (1, a), (2, a), (1, 1, 1) and (1, 1, 2): with two
+primes the hypergraph is the graph K_{1,a} or K_{2,a}, which has a
+closed-form rotation system, and each three-prime pattern has a stored
+rotation mapped by prime relabelling (the shift with beta = alpha).  A
+lifted witness counts only after verify_kuratowski_witness accepts it,
+and a constructed rotation only after verify_rotation_system does, both
+on n's own incidence graph; if either check fails, n takes the generic
+LR path, topology.hypergraph_planar.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import classify, metrics, topology
-from .arith import Factorization, check_range, exponent_vector, factorize
+from .arith import Factorization, check_range, factorize
 from .classify import COMPUTED_FIELDS, FORMULA_ONLY_FIELDS, Classification
 from .hypergraph import (Hypergraph, build_comaximal_hypergraph,
                          build_intersection_hypergraph, check_buildable)
@@ -204,33 +209,137 @@ def cached_host_tree(f: Factorization, h: Hypergraph,
 # the minimal nonplanar exponent patterns, tried in this order
 _PLANARITY_BASES = ((3, 3), (1, 2, 2), (1, 1, 3), (1, 1, 1, 1))
 
+# A Kuratowski witness of each base, taken once from
+# topology.hypergraph_planar on the smallest n of the pattern, which puts
+# the exponents, in descending order, on 2, 3, 5, 7.  An edge is (vertex
+# exponent vector, frozenset of the hyperedge's vertex exponent vectors);
+# every edge runs from a vertex node to a hyperedge node.
+_BASE_WITNESSES = {
+    (3, 3): ("K33", (
+        ((3, 0), frozenset({(0, 3), (3, 0)})),
+        ((3, 0), frozenset({(1, 3), (3, 0)})),
+        ((3, 0), frozenset({(2, 3), (3, 0)})),
+        ((3, 1), frozenset({(0, 3), (3, 1)})),
+        ((3, 1), frozenset({(1, 3), (3, 1)})),
+        ((3, 1), frozenset({(2, 3), (3, 1)})),
+        ((0, 3), frozenset({(0, 3), (3, 0)})),
+        ((0, 3), frozenset({(0, 3), (3, 1)})),
+        ((0, 3), frozenset({(0, 3), (3, 2)})),
+        ((1, 3), frozenset({(1, 3), (3, 0)})),
+        ((1, 3), frozenset({(1, 3), (3, 1)})),
+        ((1, 3), frozenset({(1, 3), (3, 2)})),
+        ((3, 2), frozenset({(0, 3), (3, 2)})),
+        ((3, 2), frozenset({(1, 3), (3, 2)})),
+        ((3, 2), frozenset({(2, 3), (3, 2)})),
+        ((2, 3), frozenset({(2, 3), (3, 0)})),
+        ((2, 3), frozenset({(2, 3), (3, 1)})),
+        ((2, 3), frozenset({(2, 3), (3, 2)})),
+    )),
+    (1, 2, 2): ("K33", (
+        ((0, 2, 0), frozenset({(0, 2, 0), (2, 0, 1)})),
+        ((0, 2, 0), frozenset({(0, 2, 0), (2, 1, 1)})),
+        ((2, 1, 0), frozenset({(0, 2, 1), (2, 1, 0)})),
+        ((2, 1, 0), frozenset({(1, 2, 1), (2, 1, 0)})),
+        ((2, 0, 1), frozenset({(0, 2, 0), (2, 0, 1)})),
+        ((2, 0, 1), frozenset({(0, 2, 1), (2, 0, 1), (2, 2, 0)})),
+        ((2, 0, 1), frozenset({(1, 2, 1), (2, 0, 1), (2, 2, 0)})),
+        ((2, 2, 0), frozenset({(0, 2, 1), (2, 0, 1), (2, 2, 0)})),
+        ((2, 2, 0), frozenset({(1, 2, 1), (2, 0, 1), (2, 2, 0)})),
+        ((2, 2, 0), frozenset({(0, 2, 1), (2, 1, 1), (2, 2, 0)})),
+        ((0, 2, 1), frozenset({(0, 2, 1), (2, 1, 0)})),
+        ((0, 2, 1), frozenset({(0, 2, 1), (2, 0, 1), (2, 2, 0)})),
+        ((0, 2, 1), frozenset({(0, 2, 1), (2, 1, 1), (2, 2, 0)})),
+        ((2, 1, 1), frozenset({(0, 2, 0), (2, 1, 1)})),
+        ((2, 1, 1), frozenset({(0, 2, 1), (2, 1, 1), (2, 2, 0)})),
+        ((1, 2, 1), frozenset({(1, 2, 1), (2, 1, 0)})),
+        ((1, 2, 1), frozenset({(1, 2, 1), (2, 0, 1), (2, 2, 0)})),
+    )),
+    (1, 1, 3): ("K33", (
+        ((3, 0, 0), frozenset({(0, 1, 1), (3, 0, 0)})),
+        ((3, 0, 0), frozenset({(1, 1, 1), (3, 0, 0)})),
+        ((3, 0, 0), frozenset({(2, 1, 1), (3, 0, 0)})),
+        ((0, 1, 1), frozenset({(0, 1, 1), (3, 0, 0)})),
+        ((0, 1, 1), frozenset({(0, 1, 1), (3, 0, 1), (3, 1, 0)})),
+        ((3, 1, 0), frozenset({(0, 1, 1), (3, 0, 1), (3, 1, 0)})),
+        ((3, 1, 0), frozenset({(1, 1, 1), (3, 0, 1), (3, 1, 0)})),
+        ((3, 1, 0), frozenset({(2, 1, 1), (3, 0, 1), (3, 1, 0)})),
+        ((1, 1, 1), frozenset({(1, 1, 1), (3, 0, 0)})),
+        ((1, 1, 1), frozenset({(1, 1, 1), (3, 0, 1), (3, 1, 0)})),
+        ((3, 0, 1), frozenset({(0, 1, 1), (3, 0, 1), (3, 1, 0)})),
+        ((3, 0, 1), frozenset({(1, 1, 1), (3, 0, 1), (3, 1, 0)})),
+        ((3, 0, 1), frozenset({(2, 1, 1), (3, 0, 1), (3, 1, 0)})),
+        ((2, 1, 1), frozenset({(2, 1, 1), (3, 0, 0)})),
+        ((2, 1, 1), frozenset({(2, 1, 1), (3, 0, 1), (3, 1, 0)})),
+    )),
+    (1, 1, 1, 1): ("K33", (
+        ((1, 1, 0, 0), frozenset({(0, 0, 1, 1), (1, 1, 0, 0)})),
+        ((1, 1, 0, 0), frozenset({(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 0)})),
+        ((1, 0, 1, 0), frozenset({(0, 1, 0, 1), (1, 0, 1, 0)})),
+        ((1, 0, 1, 0), frozenset({(0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 1)})),
+        ((1, 0, 0, 1), frozenset({(0, 1, 1, 0), (1, 0, 0, 1)})),
+        ((1, 0, 0, 1), frozenset({(0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0)})),
+        ((0, 1, 1, 0), frozenset({(0, 1, 1, 0), (1, 0, 0, 1)})),
+        ((0, 1, 1, 0), frozenset({(0, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1)})),
+        ((0, 1, 0, 1), frozenset({(0, 1, 0, 1), (1, 0, 1, 0)})),
+        ((0, 1, 0, 1), frozenset({(0, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 0)})),
+        ((1, 1, 1, 0), frozenset({(0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0)})),
+        ((1, 1, 1, 0), frozenset({(0, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 0)})),
+        ((1, 1, 1, 0), frozenset({(0, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)})),
+        ((0, 0, 1, 1), frozenset({(0, 0, 1, 1), (1, 1, 0, 0)})),
+        ((0, 0, 1, 1), frozenset({(0, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)})),
+        ((1, 1, 0, 1), frozenset({(0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 1)})),
+        ((1, 1, 0, 1), frozenset({(0, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1)})),
+        ((1, 1, 0, 1), frozenset({(0, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)})),
+        ((1, 0, 1, 1), frozenset({(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 0)})),
+        ((1, 0, 1, 1), frozenset({(0, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1)})),
+        ((1, 0, 1, 1), frozenset({(0, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 0)})),
+    )),
+}
 
-@functools.cache
+# The planar patterns of three primes, exponents descending, each with a
+# rotation system on the same labels as _BASE_WITNESSES: the cyclic order
+# at every node of degree 3 or more, taken once from the left-right test's
+# embedding of the smallest n.  Any order serves at the other nodes.
+_PLANAR_EMBEDDINGS = {
+    (1, 1, 1): {
+        frozenset({(0, 1, 1), (1, 0, 1), (1, 1, 0)}):
+            ((0, 1, 1), (1, 1, 0), (1, 0, 1)),
+    },
+    (2, 1, 1): {
+        (2, 1, 0): (frozenset({(0, 1, 1), (2, 0, 1), (2, 1, 0)}),
+                    frozenset({(1, 1, 1), (2, 0, 1), (2, 1, 0)}),
+                    frozenset({(0, 0, 1), (2, 1, 0)}),
+                    frozenset({(1, 0, 1), (2, 1, 0)})),
+        (2, 0, 1): (frozenset({(0, 1, 0), (2, 0, 1)}),
+                    frozenset({(1, 1, 0), (2, 0, 1)}),
+                    frozenset({(0, 1, 1), (2, 0, 1), (2, 1, 0)}),
+                    frozenset({(1, 1, 1), (2, 0, 1), (2, 1, 0)})),
+        frozenset({(0, 1, 1), (2, 0, 1), (2, 1, 0)}):
+            ((2, 0, 1), (2, 1, 0), (0, 1, 1)),
+        frozenset({(1, 1, 1), (2, 0, 1), (2, 1, 0)}):
+            ((2, 1, 0), (2, 0, 1), (1, 1, 1)),
+    },
+}
+
+
 def _base_witness(base: tuple[int, ...]) -> tuple[str, tuple]:
-    """The Kuratowski witness of the smallest n of a base pattern.
+    """The stored Kuratowski witness (kind, edges) of a base pattern."""
+    return _BASE_WITNESSES[base]
 
-    That n puts the exponents, in descending order, on 2, 3, 5, 7.
-    Returns (kind, edges); an edge is (vertex exponent vector, frozenset
-    of the hyperedge's vertex exponent vectors).
-    """
-    beta = sorted(base, reverse=True)
-    f = factorize(math.prod(p**b for p, b in zip((2, 3, 5, 7), beta)))
-    h = build_intersection_hypergraph(f)
-    res = topology.hypergraph_planar(h)
-    exps = [exponent_vector(d, f) for d in h.vertices]
-    # bipartite: every witness edge runs from a vertex node to an edge node
-    return res.witness_kind, tuple(
-        (exps[u], frozenset(exps[i] for i in h.edges[e - len(exps)]))
-        for u, e in res.witness.sorted_edges())
+
+def _by_exponent(exponents: tuple[int, ...]) -> list[int]:
+    """Indices of n's primes by descending exponent, ties in prime order:
+    the order in which the stored labels' coordinates list them."""
+    return sorted(range(len(exponents)), key=lambda i: -exponents[i])
 
 
 def _dominated_base(exponents: tuple[int, ...]):
     """(base, beta, sigma) for the first base n's exponents dominate.
 
     beta is the base sorted descending; sigma maps base coordinate j to
-    the index of the prime of n at the same rank, ties in prime order.
+    the index of the prime of n at the same rank.
     """
-    order = sorted(range(len(exponents)), key=lambda i: -exponents[i])
+    order = _by_exponent(exponents)
     for base in _PLANARITY_BASES:
         beta = sorted(base, reverse=True)
         if len(beta) <= len(order) and all(
@@ -248,6 +357,32 @@ def _lift_vertex(r, beta, alphas, sigma) -> tuple[int, ...]:
     return tuple(exps)
 
 
+def _base_nodes(f: Factorization, h: Hypergraph, beta, sigma):
+    """The map from stored labels to nodes of n's incidence graph.
+
+    A vertex label goes through _lift_vertex; a hyperedge label goes to
+    the first hyperedge holding the image of its vertices, which by
+    maximality meets the image exactly there.  A label without an image
+    maps to None.
+    """
+    index = {d: i for i, d in enumerate(h.vertices)}
+    nv = len(h.vertices)
+
+    def vertex(r):
+        exps = _lift_vertex(r, beta, f.exponents, sigma)
+        return index.get(math.prod(p**e for p, e in zip(f.primes, exps)))
+
+    @functools.cache
+    def node(label):
+        if not isinstance(label, frozenset):
+            return vertex(label)
+        image = {vertex(r) for r in label}
+        return next((nv + j for j, e in enumerate(h.edges)
+                     if image.issubset(e)), None)
+
+    return node
+
+
 def _lifted_planarity(f: Factorization,
                       h: Hypergraph) -> topology.PlanarityResult | None:
     """A checked nonplanarity certificate lifted from a base, or None."""
@@ -256,21 +391,8 @@ def _lifted_planarity(f: Factorization,
         return None
     base, beta, sigma = found
     kind, base_edges = _base_witness(base)
-    index = {d: i for i, d in enumerate(h.vertices)}
-
-    def node(r):
-        exps = _lift_vertex(r, beta, f.exponents, sigma)
-        return index.get(math.prod(p**e for p, e in zip(f.primes, exps)))
-
-    nv = len(h.vertices)
-    edge_node = {}
-    for c in {c for _, c in base_edges}:
-        # by maximality the first hyperedge holding the image meets it
-        # exactly there
-        image = {node(r) for r in c}
-        edge_node[c] = next((nv + j for j, e in enumerate(h.edges)
-                             if image.issubset(e)), None)
-    pairs = [(node(r), edge_node[c]) for r, c in base_edges]
+    node = _base_nodes(f, h, beta, sigma)
+    pairs = [(node(r), node(c)) for r, c in base_edges]
     if any(u is None or v is None for u, v in pairs):
         return None
     g = topology.incidence_graph(h)
@@ -278,6 +400,62 @@ def _lifted_planarity(f: Factorization,
     if topology.verify_kuratowski_witness(g, witness) != kind:
         return None
     return topology.PlanarityResult(False, witness=witness, witness_kind=kind)
+
+
+def _two_prime_orders(f: Factorization, h: Hypergraph) -> dict | None:
+    """Cyclic orders at the hubs of n = p^a q^b, or None if min(a, b) > 2.
+
+    The vertices are p^i q^b (i < a) and p^a q^j (j < b), and every
+    hyperedge pairs one of each, so the hypergraph is the graph K_{a,b}.
+    The smaller side holds the hubs: the vertices divisible by q^b if
+    a <= b, else by p^a.  The first hub takes its hyperedge nodes in partner order and
+    the second in the reverse order, which draws the paths between them
+    side by side.
+    """
+    (p, a), (q, b) = f.factors
+    if min(a, b) > 2:
+        return None
+    full = q**b if a <= b else p**a
+    spokes = {i: [] for i, d in enumerate(h.vertices) if d % full == 0}
+    nv = len(h.vertices)
+    for j, (u, w) in enumerate(h.edges):
+        hub, partner = (u, w) if u in spokes else (w, u)
+        spokes[hub].append((partner, nv + j))
+    orders = {}
+    for k, (hub, around) in enumerate(spokes.items()):
+        order = tuple(e for _, e in sorted(around))
+        orders[hub] = order[::-1] if k else order
+    return orders
+
+
+def _constructed_embedding(f: Factorization,
+                           h: Hypergraph) -> topology.PlanarityResult | None:
+    """A checked planarity certificate for a planar pattern, or None.
+
+    Two primes take _two_prime_orders; (1, 1, 1) and (2, 1, 1) map their
+    stored rotation by prime relabelling.  Every other node lists its
+    neighbours in index order.
+    """
+    if f.omega == 2:
+        orders = _two_prime_orders(f, h)
+    else:
+        beta = sorted(f.exponents, reverse=True)
+        stored = _PLANAR_EMBEDDINGS.get(tuple(beta))
+        if stored is None:
+            return None
+        node = _base_nodes(f, h, beta, _by_exponent(f.exponents))
+        orders = {node(label): tuple(map(node, around))
+                  for label, around in stored.items()}
+    if orders is None or any(v is None or None in around
+                             for v, around in orders.items()):
+        return None
+    g = topology.incidence_graph(h)
+    adj = g.adjacency()
+    rotation = tuple(orders.get(v) or tuple(sorted(adj[v]))
+                     for v in range(g.vertex_count))
+    if not topology.verify_rotation_system(g, rotation):
+        return None
+    return topology.PlanarityResult(True, rotation=rotation)
 
 
 def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
@@ -339,10 +517,11 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
                     computed_text=status,
                     predicted_text="yes" if pred.hypertree else "no")
     if "planarity" in checks:
-        # a lifted witness is checked before it is returned, and is_planar
-        # verifies its certificate and raises if it fails, so a result
-        # reaching here always carries a valid one
-        res = _lifted_planarity(f, h) or topology.hypergraph_planar(h)
+        # a lifted witness or constructed embedding is checked before it
+        # is returned, and is_planar verifies its certificate and raises if
+        # it fails, so a result reaching here always carries a valid one
+        res = (_lifted_planarity(f, h) or _constructed_embedding(f, h)
+               or topology.hypergraph_planar(h))
         facts["planar"] = res.planar
         if not res.planar:
             facts["planarity_witness"] = res.witness_kind

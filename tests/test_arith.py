@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from znhg.arith import (PRIMALITY_BOUND, RANGE_LIMIT, CapabilityError,
-                        Factorization, divisors, exponent_vector, factorize,
-                        factorize_range, from_exponents,
+                        Factorization, _is_prime, divisors, exponent_vector,
+                        factorize, factorize_range, from_exponents,
                         proper_nontrivial_divisors)
 
 
@@ -115,6 +116,68 @@ def test_factorize_products_of_two_primes(p, q):
     assert factorize(p * q).factors == expected
 
 
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS
+# A014233); psi_7 = psi_8 and psi_9 = psi_10 = psi_11
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051,
+       3825123056546413051, 3825123056546413051, 318665857834031151167461,
+       PRIMALITY_BOUND)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(m, a):
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, m)
+    if x in (1, m - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % m
+        if x == m - 1:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_is_prime_rejects_psi_k(k):
+    # psi_k passes the first k bases, so a test that stops one base early
+    # at any bound calls it prime; called directly, since trial division
+    # would strip 2047 = 23 * 89 before Miller-Rabin sees it
+    psi = PSI[k - 1]
+    assert all(strong_probable_prime(psi, a) for a in MR_BASES[:k])
+    # a prime passes every base, so a failing one proves psi composite
+    assert not all(strong_probable_prime(psi, a) for a in MR_BASES)
+    assert not _is_prime(psi)
+
+
+def test_is_prime_accepts_the_primality_bound():
+    # psi_13 passes all 13 bases: the reason factorize refuses a leftover
+    # from PRIMALITY_BOUND on (test_factorize_refuses_cofactor_at_...)
+    assert all(strong_probable_prime(PRIMALITY_BOUND, a) for a in MR_BASES)
+    assert _is_prime(PRIMALITY_BOUND)
+
+
+def test_is_prime_matches_all_thirteen_bases_in_every_band():
+    # below each psi_k, the first k bases decide as all 13 do: primes and
+    # odd composites drawn from every band [psi_{k-1}, psi_k)
+    rng = random.Random(12)
+    for lo, hi in zip((53,) + PSI, PSI):
+        if lo == hi:
+            continue
+        m = lo | 1
+        primes = 0
+        while primes < 3:
+            expected = all(strong_probable_prime(m, a) for a in MR_BASES)
+            assert _is_prime(m) == expected, m
+            primes += expected
+            m += 2
+        for _ in range(50):
+            m = rng.randrange(lo, hi) | 1
+            assert _is_prime(m) == all(strong_probable_prime(m, a)
+                                       for a in MR_BASES), m
+
+
 def test_factorize_range_refuses_before_allocating():
     start = time.perf_counter()
     with pytest.raises(ValueError, match="limited"):
@@ -161,18 +224,17 @@ def test_factorize_matches_a_sieve_to_30000():
             for m in range(p * p, limit, p):
                 if spf[m] == m:
                     spf[m] = p
-    for n in range(1, limit):
+    ranged = factorize_range(1, limit - 1)
+    assert [f.n for f in ranged] == list(range(1, limit))
+    for n, f in zip(range(1, limit), ranged):
         counts = Counter()
         m = n
         while m > 1:
             counts[spf[m]] += 1
             m //= spf[m]
-        assert factorize(n).factors == tuple(sorted(counts.items())), n
-
-
-def test_factorize_range_matches_factorize():
-    for f in factorize_range(1, 3000):
-        assert f == factorize(f.n)
+        expected = tuple(sorted(counts.items()))
+        assert factorize(n).factors == expected, n
+        assert f.factors == expected, n
 
 
 @pytest.mark.parametrize("n,expected", [

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -382,3 +385,34 @@ def test_random_argv_exits_cleanly(argv):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+_NO_NETWORKX = """
+import contextlib, io, sys
+from znhg import cli, verify
+if sys.argv[1] == "fallback":
+    verify._constructed_embedding = lambda f, h: None
+for argv in (["analyze", "60"], ["analyze", "7560"],
+             ["sweep", "2", "2000", "--checks", "planarity", "--json"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print("networkx" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("mode,imported", [("constructed", "False"),
+                                           ("fallback", "True")])
+def test_planarity_on_z_n_never_imports_networkx(mode, imported):
+    # a fresh interpreter, since this one may have imported networkx for
+    # other tests; a forced LR fallback shows that the probe sees it
+    import znhg
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(znhg.__file__).parent.parent)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _NO_NETWORKX, mode],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == imported

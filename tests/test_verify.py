@@ -339,3 +339,77 @@ def test_no_bisection_for_an_n_that_dominates_a_base(monkeypatch):
     r = analyze(2**3 * 3**3 * 5 * 7)
     assert r.findings == []
     assert r.computed["planar"] is False
+
+
+def test_constructed_embedding_exists_exactly_for_planar_patterns(builds5000):
+    # the hub orders of K_{1,a} and K_{2,a} and the two stored rotations
+    # cover every planar pattern, and each construction is a rotation
+    # system of n's own incidence graph that passes the Euler check
+    from znhg import classify, topology
+    from znhg import verify as v
+
+    constructed = 0
+    for f, h in builds5000.values():
+        if f.omega < 2:
+            continue
+        res = v._constructed_embedding(f, h)
+        assert (res is not None) == classify.predict(f).planar, f.n
+        if res is not None:
+            constructed += 1
+            assert res.planar
+            assert topology.verify_rotation_system(
+                topology.incidence_graph(h), res.rotation), f.n
+    assert constructed == 3476
+
+
+def _unreverse_second_hub(real):
+    def orders(f, h):
+        found = real(f, h)
+        if found is not None and len(found) == 2:
+            second = list(found)[1]
+            found[second] = found[second][::-1]
+        return found
+    return orders
+
+
+@pytest.mark.parametrize("breakage,pattern", [
+    ("unreversed second hub", None),
+    ("truncated rotation", (1, 1, 1)),
+    ("truncated rotation", (2, 1, 1)),
+])
+def test_broken_embedding_falls_back_to_lr(monkeypatch, breakage, pattern):
+    # a construction the Euler check rejects falls back to the generic LR
+    # path with unchanged output, on exactly the n of the broken pattern
+    from znhg import topology
+    from znhg import verify as v
+    from znhg.verify import sweep_to_json
+
+    expected = sweep_to_json(run_sweep(2, 1000, ("planarity",)))
+    if pattern is None:
+        monkeypatch.setattr(v, "_two_prime_orders",
+                            _unreverse_second_hub(v._two_prime_orders))
+
+        def broken(f):
+            # K_{2,b} drawn with both hubs turning the same way is planar
+            # only while b <= 2
+            return f.omega == 2 and min(f.exponents) == 2 < max(f.exponents)
+    else:
+        stored = dict(v._PLANAR_EMBEDDINGS[pattern])
+        label = next(iter(stored))
+        stored[label] = stored[label][:-1]
+        monkeypatch.setitem(v._PLANAR_EMBEDDINGS, pattern, stored)
+
+        def broken(f):
+            return tuple(sorted(f.exponents, reverse=True)) == pattern
+    fallbacks = []
+    real_planar = topology.hypergraph_planar
+
+    def counted(h):
+        res = real_planar(h)
+        fallbacks.append(res.planar)
+        return res
+
+    monkeypatch.setattr(topology, "hypergraph_planar", counted)
+    assert sweep_to_json(run_sweep(2, 1000, ("planarity",))) == expected
+    want = sum(1 for f in factorize_range(2, 1000) if broken(f))
+    assert want > 0 and fallbacks == [True] * want
