@@ -24,10 +24,13 @@ from typing import Callable, Hashable, Sequence
 from .arith import (CapabilityError, Factorization, exponent_vector,
                     proper_nontrivial_divisors)
 
-# analyze on a 2-core machine: 1.4 s at 21,146 hyperedges (omega = 9),
-# 6.5 s for (150, 150) with 22,500, the slowest pattern measured below
-# this bound, and 39 s for (9, 9, 9, 9) with 91,854
+# analyze on a 2-core machine: 1.4 s for the 9th primorial (21,146
+# hyperedges, 510 vertices), 6.3 s for (150, 150) (22,500, 300), 5.7 s for
+# (18, 18, 18) (23,328, 1,026), 39 s for (9, 9, 9, 9) (91,854).  Skewed
+# patterns cost by vertices: at 1,100, (2, a) takes 5.8 s and (4, a) 7.3 s;
+# at 2,001, (1, a) takes 16 s.  Both bounds still pass (24, 1000): 37 s.
 MAX_HYPEREDGES = 25000
+MAX_VERTICES = 1100
 
 
 @dataclass(frozen=True)
@@ -222,13 +225,26 @@ def intersection_edge_count(f: Factorization) -> int:
     return (bell[-1] - 1) * prod(f.exponents)
 
 
+def intersection_vertex_count(f: Factorization) -> int:
+    """Vertices of the trivial-intersection hypergraph, in closed form.
+
+    The divisors with no exponent full number prod(alpha_i); the rest,
+    less n itself, are the vertices: d(n) - prod(alpha_i) - 1, which is
+    0 for a prime power.
+    """
+    return prod(a + 1 for a in f.exponents) - prod(f.exponents) - 1
+
+
 def check_buildable(f: Factorization) -> None:
-    """Refuse, before construction, a hypergraph above MAX_HYPEREDGES."""
-    count = intersection_edge_count(f)
-    if count > MAX_HYPEREDGES:
-        raise CapabilityError(
-            f"the hypergraph of {f.n} has {count} hyperedges; construction "
-            f"is limited to {MAX_HYPEREDGES}")
+    """Refuse, before construction, a hypergraph above MAX_HYPEREDGES
+    hyperedges or MAX_VERTICES vertices."""
+    for count, limit, what in (
+            (intersection_edge_count(f), MAX_HYPEREDGES, "hyperedges"),
+            (intersection_vertex_count(f), MAX_VERTICES, "vertices")):
+        if count > limit:
+            raise CapabilityError(
+                f"the hypergraph of {f.n} has {count} {what}; construction "
+                f"is limited to {limit}")
 
 
 def build_intersection_hypergraph(f: Factorization) -> Hypergraph:

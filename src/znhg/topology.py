@@ -7,10 +7,13 @@ independent code.  is_planar verifies the certificate once, before
 returning, and raises if it fails, so callers never re-check it.
 
 hypergraph_planar is the generic path: it knows nothing of Z_n and
-extracts a Kuratowski witness by bisection.  On Z_n, verify builds both
-kinds of certificate from the exponent pattern instead, checks them with
-verify_rotation_system and verify_kuratowski_witness, and calls
-hypergraph_planar only when a check fails; the tests use it as the
+extracts a Kuratowski witness by bisection.  theta_rotation, which knows
+nothing of Z_n either, embeds in linear time any graph that is a forest
+plus at most one subdivided theta graph, the shape of the incidence
+graph of every planar Z_n.  On Z_n, verify lifts a stored witness from
+the exponent pattern or takes theta_rotation's embedding, checks it with
+verify_kuratowski_witness or verify_rotation_system, and calls
+hypergraph_planar only when the check fails; the tests use it as the
 independent oracle.  networkx is imported inside the two functions that
 run the LR test, so a process that never takes the generic path never
 loads it.
@@ -213,6 +216,50 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
 def hypergraph_planar(h: Hypergraph) -> PlanarityResult:
     """A hypergraph is planar iff its incidence graph is."""
     return is_planar(incidence_graph(h))
+
+
+def theta_rotation(g: SimpleGraph) -> tuple[tuple[int, ...], ...] | None:
+    """A planar rotation system of a forest plus at most one subdivided
+    theta graph, or None for any other graph.
+
+    Leaves are stripped until the 2-core is left.  If the core has no
+    node of degree 3 or more it is a union of cycles, every rotation
+    system is planar, and each node lists its neighbours in index order.
+    If it has two branch nodes u < v joined only by internally disjoint
+    paths, the paths leave u in u's index order and reach v in the
+    reverse order, which draws them side by side.  Trees hang anywhere,
+    so every other node keeps index order.
+    """
+    adj = [sorted(a) for a in g.adjacency()]
+    rotation = [tuple(a) for a in adj]
+    deg = [len(a) for a in adj]
+    leaves = [v for v in range(g.vertex_count) if deg[v] == 1]
+    while leaves:
+        v = leaves.pop()
+        deg[v] = 0
+        for w in adj[v]:
+            if deg[w]:
+                deg[w] -= 1
+                if deg[w] == 1:
+                    leaves.append(w)
+    branch = [v for v in range(g.vertex_count) if deg[v] >= 3]
+    if not branch:
+        return tuple(rotation)
+    if len(branch) != 2:
+        return None
+    u, v = branch
+    ends = []
+    for w in (w for w in adj[u] if deg[w]):
+        prev = u
+        while deg[w] == 2:
+            prev, w = w, next(x for x in adj[w] if deg[x] and x != prev)
+        if w != v:
+            return None
+        ends.append(prev)
+    if len(ends) != deg[v]:
+        return None
+    rotation[v] = tuple(ends[::-1]) + tuple(x for x in adj[v] if not deg[x])
+    return tuple(rotation)
 
 
 def count_faces(g: SimpleGraph, rotation) -> int:

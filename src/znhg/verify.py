@@ -11,21 +11,19 @@ runs every sweep check except iso.
 No isomorphism is searched for.  The iso check verifies the explicit
 map d -> n/d, exact because gcd(n/d, n/d') = n/lcm(d, d').
 
-Nor is planarity searched for: both certificates are built from the
-exponent pattern.  Two vertices are compatible iff their deficiency sets
-{i : r_i < alpha_i} are disjoint, and the shift r -> r + (alpha - beta)
-on primes matched to a pattern beta <= alpha keeps exactly that, so the
-incidence graph of a beta-number embeds in n's and a Kuratowski witness
-of it maps in edge for edge.  Every nonplanar pattern dominates one of
-_PLANARITY_BASES, whose witnesses are stored as literal data.  The
-planar patterns are (1, a), (2, a), (1, 1, 1) and (1, 1, 2): with two
-primes the hypergraph is the graph K_{1,a} or K_{2,a}, which has a
-closed-form rotation system, and each three-prime pattern has a stored
-rotation mapped by prime relabelling (the shift with beta = alpha).  A
-lifted witness counts only after verify_kuratowski_witness accepts it,
-and a constructed rotation only after verify_rotation_system does, both
-on n's own incidence graph; if either check fails, n takes the generic
-LR path, topology.hypergraph_planar.
+Nor is planarity searched for.  Two vertices are compatible iff their
+deficiency sets {i : r_i < alpha_i} are disjoint, and the shift
+r -> r + (alpha - beta) on primes matched to a pattern beta <= alpha
+keeps exactly that, so the incidence graph of a beta-number embeds in
+n's and a Kuratowski witness of it maps in edge for edge.  Every
+nonplanar pattern dominates one of _PLANARITY_BASES, whose witnesses are
+stored as literal data.  The incidence graph of every planar pattern,
+(1, a), (2, a), (1, 1, 1) and (1, 1, 2), is a forest plus at most one
+subdivided theta graph, which topology.theta_rotation embeds without
+knowing n.  A lifted witness counts only after
+verify_kuratowski_witness accepts it, and a rotation only after
+verify_rotation_system does, both on n's own incidence graph; if either
+check fails, n takes the generic LR path, topology.hypergraph_planar.
 """
 
 from __future__ import annotations
@@ -296,32 +294,6 @@ _BASE_WITNESSES = {
     )),
 }
 
-# The planar patterns of three primes, exponents descending, each with a
-# rotation system on the same labels as _BASE_WITNESSES: the cyclic order
-# at every node of degree 3 or more, taken once from the left-right test's
-# embedding of the smallest n.  Any order serves at the other nodes.
-_PLANAR_EMBEDDINGS = {
-    (1, 1, 1): {
-        frozenset({(0, 1, 1), (1, 0, 1), (1, 1, 0)}):
-            ((0, 1, 1), (1, 1, 0), (1, 0, 1)),
-    },
-    (2, 1, 1): {
-        (2, 1, 0): (frozenset({(0, 1, 1), (2, 0, 1), (2, 1, 0)}),
-                    frozenset({(1, 1, 1), (2, 0, 1), (2, 1, 0)}),
-                    frozenset({(0, 0, 1), (2, 1, 0)}),
-                    frozenset({(1, 0, 1), (2, 1, 0)})),
-        (2, 0, 1): (frozenset({(0, 1, 0), (2, 0, 1)}),
-                    frozenset({(1, 1, 0), (2, 0, 1)}),
-                    frozenset({(0, 1, 1), (2, 0, 1), (2, 1, 0)}),
-                    frozenset({(1, 1, 1), (2, 0, 1), (2, 1, 0)})),
-        frozenset({(0, 1, 1), (2, 0, 1), (2, 1, 0)}):
-            ((2, 0, 1), (2, 1, 0), (0, 1, 1)),
-        frozenset({(1, 1, 1), (2, 0, 1), (2, 1, 0)}):
-            ((2, 1, 0), (2, 0, 1), (1, 1, 1)),
-    },
-}
-
-
 def _base_witness(base: tuple[int, ...]) -> tuple[str, tuple]:
     """The stored Kuratowski witness (kind, edges) of a base pattern."""
     return _BASE_WITNESSES[base]
@@ -329,7 +301,8 @@ def _base_witness(base: tuple[int, ...]) -> tuple[str, tuple]:
 
 def _by_exponent(exponents: tuple[int, ...]) -> list[int]:
     """Indices of n's primes by descending exponent, ties in prime order:
-    the order in which the stored labels' coordinates list them."""
+    the order in which the coordinates of _BASE_WITNESSES' labels list
+    them."""
     return sorted(range(len(exponents)), key=lambda i: -exponents[i])
 
 
@@ -358,7 +331,10 @@ def _lift_vertex(r, beta, alphas, sigma) -> tuple[int, ...]:
 
 
 def _base_nodes(f: Factorization, h: Hypergraph, beta, sigma):
-    """The map from stored labels to nodes of n's incidence graph.
+    """The map from the labels of a stored base witness to nodes of n's
+    incidence graph.  Only the nonplanar lift needs stored labels: the
+    incidence graph of a planar pattern is a forest plus at most one
+    subdivided theta, which topology.theta_rotation embeds directly.
 
     A vertex label goes through _lift_vertex; a hyperedge label goes to
     the first hyperedge holding the image of its vertices, which by
@@ -402,58 +378,11 @@ def _lifted_planarity(f: Factorization,
     return topology.PlanarityResult(False, witness=witness, witness_kind=kind)
 
 
-def _two_prime_orders(f: Factorization, h: Hypergraph) -> dict | None:
-    """Cyclic orders at the hubs of n = p^a q^b, or None if min(a, b) > 2.
-
-    The vertices are p^i q^b (i < a) and p^a q^j (j < b), and every
-    hyperedge pairs one of each, so the hypergraph is the graph K_{a,b}.
-    The smaller side holds the hubs: the vertices divisible by q^b if
-    a <= b, else by p^a.  The first hub takes its hyperedge nodes in partner order and
-    the second in the reverse order, which draws the paths between them
-    side by side.
-    """
-    (p, a), (q, b) = f.factors
-    if min(a, b) > 2:
-        return None
-    full = q**b if a <= b else p**a
-    spokes = {i: [] for i, d in enumerate(h.vertices) if d % full == 0}
-    nv = len(h.vertices)
-    for j, (u, w) in enumerate(h.edges):
-        hub, partner = (u, w) if u in spokes else (w, u)
-        spokes[hub].append((partner, nv + j))
-    orders = {}
-    for k, (hub, around) in enumerate(spokes.items()):
-        order = tuple(e for _, e in sorted(around))
-        orders[hub] = order[::-1] if k else order
-    return orders
-
-
-def _constructed_embedding(f: Factorization,
-                           h: Hypergraph) -> topology.PlanarityResult | None:
-    """A checked planarity certificate for a planar pattern, or None.
-
-    Two primes take _two_prime_orders; (1, 1, 1) and (2, 1, 1) map their
-    stored rotation by prime relabelling.  Every other node lists its
-    neighbours in index order.
-    """
-    if f.omega == 2:
-        orders = _two_prime_orders(f, h)
-    else:
-        beta = sorted(f.exponents, reverse=True)
-        stored = _PLANAR_EMBEDDINGS.get(tuple(beta))
-        if stored is None:
-            return None
-        node = _base_nodes(f, h, beta, _by_exponent(f.exponents))
-        orders = {node(label): tuple(map(node, around))
-                  for label, around in stored.items()}
-    if orders is None or any(v is None or None in around
-                             for v, around in orders.items()):
-        return None
+def _constructed_embedding(h: Hypergraph) -> topology.PlanarityResult | None:
+    """A checked planarity certificate from topology.theta_rotation, or None."""
     g = topology.incidence_graph(h)
-    adj = g.adjacency()
-    rotation = tuple(orders.get(v) or tuple(sorted(adj[v]))
-                     for v in range(g.vertex_count))
-    if not topology.verify_rotation_system(g, rotation):
+    rotation = topology.theta_rotation(g)
+    if rotation is None or not topology.verify_rotation_system(g, rotation):
         return None
     return topology.PlanarityResult(True, rotation=rotation)
 
@@ -520,7 +449,7 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
         # a lifted witness or constructed embedding is checked before it
         # is returned, and is_planar verifies its certificate and raises if
         # it fails, so a result reaching here always carries a valid one
-        res = (_lifted_planarity(f, h) or _constructed_embedding(f, h)
+        res = (_lifted_planarity(f, h) or _constructed_embedding(h)
                or topology.hypergraph_planar(h))
         facts["planar"] = res.planar
         if not res.planar:

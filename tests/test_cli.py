@@ -316,14 +316,22 @@ def test_analyze_large_prime_cofactor(capsys):
     (("analyze", "200560490130"), "678569 hyperedges"),
     (("export", "200560490130", "--format", "dot", "--target", "incidence"),
      "678569 hyperedges"),
-])
+    (("analyze", str(2 * 3**2000)), "2001 vertices"),
+    (("export", str(2 * 3**2000), "--format", "json", "--target",
+      "hypergraph"), "2001 vertices"),
+    (("analyze", str(2 * 3**9000), "--json"), "9001 vertices"),
+], ids=["argv0-primality", "argv1-primality", "argv2-678569 hyperedges",
+        "argv3-678569 hyperedges", "analyze 2*3^2000", "export 2*3^2000",
+        "analyze 2*3^9000"])
 def test_refusals_before_construction(capsys, monkeypatch, argv, message):
     def refuse(f):
         raise AssertionError(f"built the hypergraph of {f.n}")
 
     monkeypatch.setattr(verify, "build_intersection_hypergraph", refuse)
     monkeypatch.setattr(cli, "build_intersection_hypergraph", refuse)
+    start = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
     assert code == 1
     assert out == ""
     assert err.startswith("znhg: error:") and message in err
@@ -391,7 +399,7 @@ _NO_NETWORKX = """
 import contextlib, io, sys
 from znhg import cli, verify
 if sys.argv[1] == "fallback":
-    verify._constructed_embedding = lambda f, h: None
+    verify._constructed_embedding = lambda h: None
 for argv in (["analyze", "60"], ["analyze", "7560"],
              ["sweep", "2", "2000", "--checks", "planarity", "--json"]):
     with contextlib.redirect_stdout(io.StringIO()):

@@ -11,12 +11,13 @@ import pytest
 from znhg.arith import (CapabilityError, factorize, factorize_range,
                         proper_nontrivial_divisors)
 from znhg.groups import Subgroup, cyclic, set_product, zn_subgroup_of_divisor
-from znhg.hypergraph import (MAX_HYPEREDGES, Hypergraph,
+from znhg.hypergraph import (MAX_HYPEREDGES, MAX_VERTICES, Hypergraph,
                              build_comaximal_hypergraph,
                              build_intersection_hypergraph, canonical_hypergraph,
                              check_buildable, comaximal,
                              comaximal_vertex_generators, enumerate_maximal_edges,
-                             intersection_edge_count, trivially_intersects,
+                             intersection_edge_count,
+                             intersection_vertex_count, trivially_intersects,
                              vertex_set)
 from znhg.metrics import isomorphic
 
@@ -179,6 +180,7 @@ def test_emptiness_and_single_edge_to_10000():
 def test_edge_count_closed_form_to_7000(builds5000):
     for n, (f, h) in builds5000.items():
         assert intersection_edge_count(f) == len(h.edges), n
+        assert intersection_vertex_count(f) == len(h.vertices), n
     for f in factorize_range(5001, 7000):
         assert intersection_edge_count(f) == len(
             build_intersection_hypergraph(f).edges), f.n
@@ -196,6 +198,18 @@ def test_check_buildable_bound():
     assert intersection_edge_count(factorize(6469693230)) > MAX_HYPEREDGES
     with pytest.raises(CapabilityError, match="hyperedges"):
         check_buildable(factorize(6469693230))
+    # the 9th primorial, (150, 150) and (18, 18, 18) stay admitted
+    for n, vertices in ((223092870, 510), (2**150 * 3**150, 300),
+                        (2**18 * 3**18 * 5**18, 1026)):
+        f = factorize(n)
+        assert intersection_vertex_count(f) == vertices <= MAX_VERTICES
+        check_buildable(f)
+    # 2 * 3**2000 has 2,000 hyperedges but 2,001 vertices
+    f = factorize(2 * 3**2000)
+    assert intersection_edge_count(f) == 2000
+    assert intersection_vertex_count(f) == 2001 > MAX_VERTICES
+    with pytest.raises(CapabilityError, match="2001 vertices"):
+        check_buildable(f)
 
 
 def test_build_deterministic():

@@ -7,8 +7,9 @@ from znhg.arith import factorize
 from znhg.hypergraph import Hypergraph, build_intersection_hypergraph
 from znhg.topology import (SimpleGraph, connected_components,
                            hypergraph_planar, incidence_graph, is_planar,
-                           shortest_cycle_length, simple_graph, to_dot,
-                           verify_kuratowski_witness, verify_rotation_system)
+                           shortest_cycle_length, simple_graph, theta_rotation,
+                           to_dot, verify_kuratowski_witness,
+                           verify_rotation_system)
 
 
 def build(n):
@@ -110,6 +111,52 @@ def test_rotation_verifier_requires_neighbourhoods():
     g = complete_graph(4)
     bad = tuple((0,) for _ in range(4))
     assert not verify_rotation_system(g, bad)
+
+
+def cycle(nodes):
+    return [(u, nodes[(i + 1) % len(nodes)]) for i, u in enumerate(nodes)]
+
+
+# hubs 0 and 1 joined by 0-2-1, 0-3-1 and 0-4-5-1, with leaves 6 on hub 1
+# and 7 on node 5, and a separate path 8-9-10
+SUBDIVIDED_K23 = simple_graph(11, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4),
+                                   (4, 5), (5, 1), (1, 6), (5, 7), (8, 9),
+                                   (9, 10)])
+
+
+@pytest.mark.parametrize("g", [
+    simple_graph(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)]),
+    simple_graph(7, cycle([0, 3, 1, 4, 2]) + [(4, 5), (5, 6)]),
+    SUBDIVIDED_K23,
+], ids=["tree", "cycle", "subdivided K23"])
+def test_theta_rotation_embeds_forest_plus_theta(g):
+    rotation = theta_rotation(g)
+    assert rotation is not None and verify_rotation_system(g, rotation)
+
+
+def test_theta_rotation_reverses_the_paths_at_the_second_hub():
+    # index order at both hubs would draw K23 with a crossing
+    index_order = tuple(tuple(sorted(a)) for a in SUBDIVIDED_K23.adjacency())
+    assert not verify_rotation_system(SUBDIVIDED_K23, index_order)
+    assert theta_rotation(SUBDIVIDED_K23)[1] == (5, 3, 2, 6)
+
+
+@pytest.mark.parametrize("g", [
+    complete_graph(4),
+    complete_bipartite(3, 3),
+    simple_graph(5, cycle([0, 1, 2]) + cycle([0, 3, 4])),
+    simple_graph(10, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 1), (1, 4),
+                      (4, 5), (5, 6), (6, 8), (8, 7), (6, 9), (9, 7),
+                      (6, 7)]),
+    simple_graph(7, [(0, 2), (2, 1), (0, 3), (3, 1), (0, 1)]
+                 + cycle([1, 4, 5]) + [(5, 6)]),
+    simple_graph(10, cycle([0, 1, 2]) + cycle([0, 3, 4]) + cycle([5, 6, 7])
+                 + cycle([5, 8, 9])),
+], ids=["K4", "K33", "figure-eight", "two thetas joined by a path",
+        "theta with a cycle at one hub",
+        "two figure-eights"])
+def test_theta_rotation_refuses_other_cores(g):
+    assert theta_rotation(g) is None
 
 
 def test_kuratowski_verifier_rejects_non_witnesses():

@@ -342,9 +342,10 @@ def test_no_bisection_for_an_n_that_dominates_a_base(monkeypatch):
 
 
 def test_constructed_embedding_exists_exactly_for_planar_patterns(builds5000):
-    # the hub orders of K_{1,a} and K_{2,a} and the two stored rotations
-    # cover every planar pattern, and each construction is a rotation
-    # system of n's own incidence graph that passes the Euler check
+    # the incidence graph of every planar pattern is a forest plus at most
+    # one subdivided theta graph, which topology.theta_rotation embeds;
+    # each construction is a rotation system of n's own incidence graph
+    # that passes the Euler check, and no nonplanar n gets one
     from znhg import classify, topology
     from znhg import verify as v
 
@@ -352,7 +353,7 @@ def test_constructed_embedding_exists_exactly_for_planar_patterns(builds5000):
     for f, h in builds5000.values():
         if f.omega < 2:
             continue
-        res = v._constructed_embedding(f, h)
+        res = v._constructed_embedding(h)
         assert (res is not None) == classify.predict(f).planar, f.n
         if res is not None:
             constructed += 1
@@ -362,45 +363,46 @@ def test_constructed_embedding_exists_exactly_for_planar_patterns(builds5000):
     assert constructed == 3476
 
 
-def _unreverse_second_hub(real):
-    def orders(f, h):
-        found = real(f, h)
-        if found is not None and len(found) == 2:
-            second = list(found)[1]
-            found[second] = found[second][::-1]
-        return found
-    return orders
+def _break_at_branch_node(real, which, damage):
+    # the branch nodes are the nodes of degree >= 3 in networkx's 2-core,
+    # found independently of theta_rotation's own leaf stripping
+    import networkx as nx
+
+    def rotation(g):
+        found = real(g)
+        core = nx.k_core(nx.Graph(list(g.edges)), 2)
+        branch = sorted(v for v in core if core.degree(v) >= 3)
+        if found is None or not branch:
+            return found
+        found = list(found)
+        found[branch[which]] = damage(found[branch[which]])
+        return tuple(found)
+    return rotation
 
 
-@pytest.mark.parametrize("breakage,pattern", [
-    ("unreversed second hub", None),
-    ("truncated rotation", (1, 1, 1)),
-    ("truncated rotation", (2, 1, 1)),
-])
-def test_broken_embedding_falls_back_to_lr(monkeypatch, breakage, pattern):
-    # a construction the Euler check rejects falls back to the generic LR
-    # path with unchanged output, on exactly the n of the broken pattern
+@pytest.mark.parametrize("which,damage", [
+    (0, lambda order: order[:-1]),
+    (1, lambda order: (order[1], order[0]) + order[2:]),
+], ids=["truncated at the first branch node",
+        "two paths swapped at the second branch node"])
+def test_broken_embedding_falls_back_to_lr(monkeypatch, which, damage):
+    # a rotation the check rejects falls back to the generic LR path with
+    # unchanged output, on exactly the n whose incidence graph has a
+    # theta: (2, b >= 3), the graph K_{2,b}, and (2, 1, 1).  Truncation
+    # fails the neighbourhood check; with three or more paths, a swap at
+    # one end of the theta draws it with a crossing, which fails Euler
     from znhg import topology
-    from znhg import verify as v
     from znhg.verify import sweep_to_json
 
     expected = sweep_to_json(run_sweep(2, 1000, ("planarity",)))
-    if pattern is None:
-        monkeypatch.setattr(v, "_two_prime_orders",
-                            _unreverse_second_hub(v._two_prime_orders))
+    monkeypatch.setattr(topology, "theta_rotation", _break_at_branch_node(
+        topology.theta_rotation, which, damage))
 
-        def broken(f):
-            # K_{2,b} drawn with both hubs turning the same way is planar
-            # only while b <= 2
-            return f.omega == 2 and min(f.exponents) == 2 < max(f.exponents)
-    else:
-        stored = dict(v._PLANAR_EMBEDDINGS[pattern])
-        label = next(iter(stored))
-        stored[label] = stored[label][:-1]
-        monkeypatch.setitem(v._PLANAR_EMBEDDINGS, pattern, stored)
+    def broken(f):
+        pattern = tuple(sorted(f.exponents, reverse=True))
+        return (pattern == (2, 1, 1)
+                or f.omega == 2 and min(f.exponents) == 2 < max(f.exponents))
 
-        def broken(f):
-            return tuple(sorted(f.exponents, reverse=True)) == pattern
     fallbacks = []
     real_planar = topology.hypergraph_planar
 
