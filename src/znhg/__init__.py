@@ -11,7 +11,7 @@ dihedral examples.
 from .arith import Factorization, factorize, factorize_range
 from .classify import Classification, predict
 from .groups import FiniteGroup, Subgroup, all_subgroups, build_hypergraphs_for_group, cyclic, dihedral
-from .hypergraph import (Hypergraph, SubgroupOfZn, build_comaximal_hypergraph,
+from .hypergraph import (Hypergraph, build_comaximal_hypergraph,
                          build_intersection_hypergraph, enumerate_maximal_edges,
                          comaximal, trivially_intersects, vertex_set)
 from .metrics import (HostTreeResult, chromatic_number, constructive_two_coloring,

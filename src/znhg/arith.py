@@ -1,9 +1,10 @@
-"""Prime factorizations, divisor enumeration and exponent vectors.
+"""Prime factorizations and divisor enumeration.
 
 Every subgroup of Z_n is <d> for a divisor d of n, so all lattice
-operations downstream reduce to componentwise min/max on the exponent
-vectors provided here.  Divisors are always produced in ascending
-numeric order; canonical forms elsewhere depend on that.
+operations downstream reduce to componentwise min/max on the exponents
+of divisors, which are built from those exponents here.  Divisors are
+always produced in ascending numeric order; canonical forms elsewhere
+depend on that.
 
 One n is factored by trial division by the primes below 50, then
 deterministic Miller-Rabin and Brent's rho on what is left.  Miller-Rabin
@@ -187,31 +188,4 @@ def divisors(f: Factorization) -> list[int]:
 def proper_nontrivial_divisors(f: Factorization) -> list[int]:
     """Divisors d with 1 < d < n, ascending; empty for n = 1 and n prime."""
     return [d for d in divisors(f) if 1 < d < f.n]
-
-
-def exponent_vector(d: int, f: Factorization) -> tuple[int, ...]:
-    """Exponent tuple (r_1, ..., r_k) of the divisor d, aligned with f.factors."""
-    if d < 1 or f.n % d != 0:
-        raise ValueError(f"{d} does not divide {f.n}")
-    exps = []
-    m = d
-    for p, _ in f.factors:
-        r = 0
-        while m % p == 0:
-            m //= p
-            r += 1
-        exps.append(r)
-    return tuple(exps)
-
-
-def from_exponents(exps: tuple[int, ...], f: Factorization) -> int:
-    """Inverse of exponent_vector: rebuild the divisor from its exponents."""
-    if len(exps) != f.omega:
-        raise ValueError(f"expected {f.omega} exponents, got {len(exps)}")
-    d = 1
-    for (p, a), r in zip(f.factors, exps):
-        if not 0 <= r <= a:
-            raise ValueError(f"exponent {r} of {p} out of range 0..{a}")
-        d *= p**r
-    return d
 

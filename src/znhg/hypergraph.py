@@ -10,6 +10,10 @@ Two constructions on the proper nontrivial subgroups <d> of Z_n:
   which for Z_n reduces to gcd(d, d') = 1 (validated element-wise
   against the group engine in groups.py).
 
+A vertex <d> carries its deficiency mask, bit i set iff the exponent of
+the i-th prime in d is below alpha_i.  lcm(d, d') = n iff no prime is
+deficient in both, so trivial intersection is disjointness of masks.
+
 Hyperedges are exactly the maximal cliques of the underlying
 compatibility graph, enumerated with pivoted Bron-Kerbosch over
 bitmasks and re-sorted into a canonical form.
@@ -18,28 +22,18 @@ bitmasks and re-sorted into a canonical form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd, prod
+from math import comb, gcd, lcm, prod
 from typing import Callable, Hashable, Sequence
 
-from .arith import (CapabilityError, Factorization, exponent_vector,
-                    proper_nontrivial_divisors)
+from .arith import CapabilityError, Factorization, proper_nontrivial_divisors
 
-# analyze on a 2-core machine: 1.4 s for the 9th primorial (21,146
-# hyperedges, 510 vertices), 6.3 s for (150, 150) (22,500, 300), 5.7 s for
-# (18, 18, 18) (23,328, 1,026), 39 s for (9, 9, 9, 9) (91,854).  Skewed
-# patterns cost by vertices: at 1,100, (2, a) takes 5.8 s and (4, a) 7.3 s;
-# at 2,001, (1, a) takes 16 s.  Both bounds still pass (24, 1000): 37 s.
+# analyze on a 2-core machine: 1.1 s for the 9th primorial (21,146
+# hyperedges, 510 vertices), 7.7 s for (150, 150) (22,500, 300), 5.2 s for
+# (18, 18, 18) (23,328, 1,026), 33 s for (9, 9, 9, 9) (91,854).  Skewed
+# patterns cost by vertices: at 1,100, (2, a) takes 3.4 s and (4, a) 5.0 s;
+# at 2,001, (1, a) takes 9.4 s.  Both bounds still pass (24, 1000): 32 s.
 MAX_HYPEREDGES = 25000
 MAX_VERTICES = 1100
-
-
-@dataclass(frozen=True)
-class SubgroupOfZn:
-    """The subgroup <generator> of Z_n, with 1 < generator < n."""
-
-    generator: int
-    exponents: tuple[int, ...]
-    order: int
 
 
 @dataclass(frozen=True)
@@ -168,9 +162,7 @@ def trivially_intersects(d1: int, d2: int, f: Factorization) -> bool:
     """True iff <d1> and <d2> meet only in the identity, i.e. lcm(d1, d2) = n."""
     _require_proper_divisor(d1, f)
     _require_proper_divisor(d2, f)
-    r = exponent_vector(d1, f)
-    s = exponent_vector(d2, f)
-    return all(max(ri, si) == a for ri, si, a in zip(r, s, f.exponents))
+    return lcm(d1, d2) == f.n
 
 
 def comaximal(d1: int, d2: int, f: Factorization) -> bool:
@@ -180,21 +172,21 @@ def comaximal(d1: int, d2: int, f: Factorization) -> bool:
     return gcd(d1, d2) == 1
 
 
-def vertex_set(f: Factorization) -> list[SubgroupOfZn]:
-    """Vertices of the trivial-intersection hypergraph, ascending by generator.
+def vertex_set(f: Factorization) -> list[tuple[int, int]]:
+    """Vertices of the trivial-intersection hypergraph as (generator,
+    deficiency mask) pairs, ascending by generator.
 
-    A proper nontrivial <d> qualifies iff its exponent vector attains the
-    full exponent in at least one coordinate; empty when omega(n) <= 1.
+    Divisors are built from their exponents as in arith.divisors.  <d>
+    qualifies iff its mask is neither full (some exponent is full, which
+    excludes d = 1) nor 0 (d = n): then any divisor whose mask is the
+    complement is a partner.  Empty when omega(n) <= 1.
     """
-    if f.omega <= 1:
-        return []
-    out = []
-    alphas = f.exponents
-    for d in proper_nontrivial_divisors(f):
-        exps = exponent_vector(d, f)
-        if any(r == a for r, a in zip(exps, alphas)):
-            out.append(SubgroupOfZn(d, exps, f.n // d))
-    return out
+    pairs = [(1, 0)]
+    for i, (p, a) in enumerate(f.factors):
+        pairs = [(d * p**r, m | (r < a) << i)
+                 for d, m in pairs for r in range(a + 1)]
+    full = (1 << f.omega) - 1
+    return sorted((d, m) for d, m in pairs if 0 < m < full)
 
 
 def comaximal_vertex_generators(f: Factorization) -> list[int]:
@@ -232,7 +224,7 @@ def intersection_vertex_count(f: Factorization) -> int:
     less n itself, are the vertices: d(n) - prod(alpha_i) - 1, which is
     0 for a prime power.
     """
-    return prod(a + 1 for a in f.exponents) - prod(f.exponents) - 1
+    return f.divisor_count() - prod(f.exponents) - 1
 
 
 def check_buildable(f: Factorization) -> None:
@@ -250,13 +242,11 @@ def check_buildable(f: Factorization) -> None:
 def build_intersection_hypergraph(f: Factorization) -> Hypergraph:
     """The trivial-intersection hypergraph of Z_n on generator labels."""
     verts = vertex_set(f)
-    gens = [v.generator for v in verts]
-    exps = [v.exponents for v in verts]
-    alphas = f.exponents
+    gens = [d for d, _ in verts]
+    masks = [m for _, m in verts]
 
     def compat(i: int, j: int) -> bool:
-        return all(max(ri, si) == a
-                   for ri, si, a in zip(exps[i], exps[j], alphas))
+        return not masks[i] & masks[j]
 
     return canonical_hypergraph(gens, enumerate_maximal_edges(len(gens), compat))
 

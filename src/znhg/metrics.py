@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Hashable
 
-from .arith import Factorization, exponent_vector
+from .arith import Factorization
 from .hypergraph import Hypergraph
 from .topology import SimpleGraph, simple_graph
 
@@ -201,11 +201,9 @@ def constructive_two_coloring(f: Factorization, h: Hypergraph) -> dict:
     prime, color B = the rest.  Verified before returning."""
     if f.omega < 2:
         raise ValueError("two-coloring needs at least two prime divisors")
-    alpha1 = f.factors[0][1]
-    coloring = {}
-    for lab in h.vertices:
-        exps = exponent_vector(lab, f)
-        coloring[lab] = "A" if exps[0] == alpha1 else "B"
+    p, a = f.factors[0]
+    full = p**a
+    coloring = {lab: "B" if lab % full else "A" for lab in h.vertices}
     for e in h.edge_label_sets():
         seen = {coloring[lab] for lab in e}
         if len(seen) != 2:

@@ -277,8 +277,7 @@ def count_faces(g: SimpleGraph, rotation) -> int:
     faces = 0
     unseen = set(succ)
     while unseen:
-        start = min(unseen)
-        cur = start
+        start = cur = unseen.pop()
         while True:
             unseen.discard(cur)
             cur = succ[cur]

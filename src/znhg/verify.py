@@ -12,7 +12,8 @@ No isomorphism is searched for.  The iso check verifies the explicit
 map d -> n/d, exact because gcd(n/d, n/d') = n/lcm(d, d').
 
 Nor is planarity searched for.  Two vertices are compatible iff their
-deficiency sets {i : r_i < alpha_i} are disjoint, and the shift
+deficiency sets {i : r_i < alpha_i}, the masks of
+hypergraph.vertex_set, are disjoint, and the shift
 r -> r + (alpha - beta) on primes matched to a pattern beta <= alpha
 keeps exactly that, so the incidence graph of a beta-number embeds in
 n's and a Kuratowski witness of it maps in edge for edge.  Every

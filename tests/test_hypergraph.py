@@ -1,6 +1,7 @@
 """Construction oracles: the clique enumerator is checked against an
 exhaustive subset scan, the vertex-set formula against a brute-force
-partner search, and the gcd reduction against the element-level engine.
+partner search, the deficiency masks against lcm, and the gcd reduction
+against the element-level engine.
 """
 
 import math
@@ -90,17 +91,32 @@ def test_relations_differ_pointwise_with_group_oracle():
     (36, [4, 9, 12, 18]),
 ])
 def test_vertex_set_examples(n, generators):
-    f = factorize(n)
-    verts = vertex_set(f)
-    assert [v.generator for v in verts] == generators
-    for v in verts:
-        assert v.order * v.generator == n
+    assert [d for d, _ in vertex_set(factorize(n))] == generators
 
 
 def test_vertex_set_matches_brute_force_to_10000():
     for f in factorize_range(2, 10000):
-        got = [v.generator for v in vertex_set(f)]
+        got = [d for d, _ in vertex_set(f)]
         assert got == brute_force_vertex_generators(f), f.n
+
+
+def test_vertex_masks_are_disjoint_exactly_when_lcm_is_n_to_2000():
+    for f in factorize_range(2, 2000):
+        full = (1 << f.omega) - 1
+
+        def deficiency(d):
+            return sum(1 << i for i, (p, a) in enumerate(f.factors)
+                       if d % p**a)
+
+        verts = vertex_set(f)
+        for d, mask in verts:
+            assert mask == deficiency(d), (f.n, d)
+        for (d1, m1), (d2, m2) in combinations(verts, 2):
+            assert (not m1 & m2) == trivially_intersects(d1, d2, f), \
+                (f.n, d1, d2)
+        divs = [d for d in range(1, f.n + 1) if f.n % d == 0]
+        assert verts == [(d, deficiency(d)) for d in divs
+                         if 0 < deficiency(d) < full], f.n
 
 
 def test_comaximal_vertices_match_pairwise_definition_to_3000():
@@ -118,7 +134,7 @@ def test_enumerate_maximal_edges_complete_triple():
 @pytest.mark.parametrize("n", [12, 30, 36, 60, 210])
 def test_enumerate_maximal_edges_against_subset_scan(n):
     f = factorize(n)
-    gens = [v.generator for v in vertex_set(f)]
+    gens = [d for d, _ in vertex_set(f)]
 
     def compat(i, j):
         return trivially_intersects(gens[i], gens[j], f)

@@ -1,9 +1,11 @@
-"""Every module-level import in the package is used by its module, and
-every private module-level name is used by some module of the package.
+"""Every module-level import in the package is used by its module, every
+private module-level name is used by some module of the package, and
+every public one by some module, test or benchmark.
 
-No linter runs on this repository, so dead imports and private helpers
-left behind by a deletion would otherwise go unnoticed.  __init__.py is
-excluded from the import check: its imports are the package's re-exports.
+No linter runs on this repository, so dead imports and helpers left
+behind by a deletion would otherwise go unnoticed.  __init__.py is
+excluded from the import check and from the public-name check: its
+imports are the package's re-exports, which alone keep nothing alive.
 """
 
 import ast
@@ -11,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "znhg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "znhg"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 PACKAGE = sorted(SRC.glob("*.py"))
 
@@ -47,16 +50,17 @@ def _defined_names(stmt) -> list[str]:
             if isinstance(n, ast.Name)]
 
 
-def unused_private_names(sources: dict[str, str]) -> list[str]:
-    """module:name for each private module-level name (one leading
-    underscore, not a dunder) that no statement of any of the sources
-    references, its own definition aside."""
+def unreferenced_names(sources: dict[str, str], readers: list[str],
+                       keep) -> list[str]:
+    """module:name for each module-level name of sources for which keep
+    holds and that no statement of sources or readers references, its
+    own definition aside."""
     defined, used = [], set()
-    for module, source in sources.items():
+    for module, source in [*sources.items(), *((None, r) for r in readers)]:
         for stmt in ast.parse(source).body:
             own = _defined_names(stmt)
-            defined += [(module, name) for name in own
-                        if name.startswith("_") and not name.endswith("__")]
+            if module is not None:
+                defined += [(module, name) for name in own if keep(name)]
             for node in ast.walk(stmt):
                 name = (node.id if isinstance(node, ast.Name)
                         and isinstance(node.ctx, ast.Load)
@@ -66,6 +70,23 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
                     used.add(name)
     return [f"{module}:{name}" for module, name in defined
             if name not in used]
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level names (one leading underscore, not a dunder)
+    that no statement of any of the sources references."""
+    return unreferenced_names(
+        sources, [],
+        lambda name: name.startswith("_") and not name.endswith("__"))
+
+
+def unused_public_names(sources: dict[str, str],
+                        readers: list[str]) -> list[str]:
+    """Public module-level names that no module other than __init__, and
+    none of the readers, references."""
+    modules = {m: s for m, s in sources.items() if m != "__init__"}
+    return unreferenced_names(modules, readers,
+                              lambda name: not name.startswith("_"))
 
 
 def test_unused_private_names_detected():
@@ -84,3 +105,28 @@ def test_unused_private_names_detected():
 def test_no_unused_private_names():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert unused_private_names(sources) == []
+
+
+def test_unused_public_names_detected():
+    sources = {
+        "__init__": "from .a import exported\nexported()\n",
+        "a": "LIMIT = 3\n_HIDDEN = 4\n"
+             "def helper():\n    return LIMIT\n"
+             "def exported():\n    return helper()\n"
+             "def recursive(k):\n    return recursive(k - 1)\n"
+             "def tested():\n    return 1\n",
+        "b": "from . import a\nclass Unused:\n    pass\n"
+             "def main():\n    return a.other()\n"
+             "if __name__ == '__main__':\n    main()\n",
+        "c": "def other():\n    return 0\n",
+    }
+    readers = ["from znhg.a import tested\nassert tested() == 1\n"]
+    assert unused_public_names(sources, readers) == [
+        "a:exported", "a:recursive", "b:Unused"]
+
+
+def test_no_unused_public_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    readers = [p.read_text() for d in ("tests", "bench")
+               for p in sorted((ROOT / d).glob("*.py"))]
+    assert unused_public_names(sources, readers) == []
