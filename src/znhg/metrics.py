@@ -8,6 +8,13 @@ of co-membership counts, and isomorphism from pruned bijection search --
 all answers are exact, never heuristic.  The isomorphism search serves
 the group engine and the tests; the Z_n harness checks explicit maps
 with verify_isomorphism.
+
+The Z_n harness also takes diameter, girth and star from witnesses that
+check_diameter, check_girth and check_star accept on the hypergraph
+alone, in a few passes over the vertices and hyperedges instead of a
+BFS from every vertex.  diameter, girth and is_star are the fallback
+when a witness is rejected, and the tests' oracles.  This module imports
+nothing from verify, where the witnesses are built.
 """
 
 from __future__ import annotations
@@ -35,11 +42,12 @@ def primal_adjacency(h: Hypergraph) -> list[int]:
     """Bitmask adjacency of the primal graph (co-membership in an edge)."""
     adj = [0] * len(h.vertices)
     for e in h.edges:
+        members = 0
         for i in e:
-            for j in e:
-                if i != j:
-                    adj[i] |= 1 << j
-    return adj
+            members |= 1 << i
+        for i in e:
+            adj[i] |= members
+    return [a & ~(1 << i) for i, a in enumerate(adj)]
 
 
 def is_connected(h: Hypergraph) -> bool:
@@ -223,6 +231,145 @@ def is_star(h: Hypergraph) -> bool:
         if not common:
             return False
     return True
+
+
+# Certificate checkers.  Each accepts a claimed value of diameter, girth
+# or is_star only when the witness proves it on h itself; none knows n or
+# the exponent pattern that produced the witness.
+
+
+def _index_mask(indices, count: int) -> int | None:
+    """Bitmask of distinct integers in range(count); None otherwise."""
+    mask = 0
+    for i in indices:
+        if not isinstance(i, int) or not 0 <= i < count or mask >> i & 1:
+            return None
+        mask |= 1 << i
+    return mask
+
+
+def _far_pair(adj: list[int], u, v, apart: int) -> bool:
+    """u and v are distinct and not adjacent, so at least 2 apart; for
+    apart == 3 they also have no common neighbour."""
+    return (_index_mask((u, v), len(adj)) is not None
+            and not adj[u] >> v & 1
+            and (apart == 2 or not adj[u] & adj[v]))
+
+
+def _complete_bipartite(adj: list[int], side_a, side_b) -> bool:
+    """side_a and side_b partition the vertices, both nonempty, and every
+    side_a vertex is adjacent to every side_b vertex: any two vertices
+    are then at most 2 apart."""
+    count = len(adj)
+    a, b = _index_mask(side_a, count), _index_mask(side_b, count)
+    return (bool(a) and bool(b) and not a & b and a | b == (1 << count) - 1
+            and all(adj[u] & b == b for u in side_a))
+
+
+def _dominating_clique(adj: list[int], hubs) -> bool:
+    """The hubs are pairwise adjacent and every other vertex is adjacent
+    to one: any two vertices are then joined through at most two hubs,
+    so they are at most 3 apart."""
+    clique = _index_mask(hubs, len(adj))
+    return (bool(clique)
+            and all((adj[x] | 1 << x) & clique == clique for x in hubs)
+            and all(clique >> v & 1 or adj[v] & clique
+                    for v in range(len(adj))))
+
+
+def check_diameter(h: Hypergraph, value, upper, lower) -> bool:
+    """Accept the claim diameter(h) == value.
+
+    value 1: upper and lower are unused; every two of at least two
+    vertices are adjacent.  value 2: upper = (side_a, side_b), a complete
+    bipartite split; lower = a pair that is not adjacent.  value 3: upper
+    = hubs, a dominating clique; lower = a pair that is not adjacent and
+    has no common neighbour.  Any other value is rejected.
+    """
+    adj = primal_adjacency(h)
+    if value == 1:
+        everyone = (1 << len(adj)) - 1
+        return len(adj) >= 2 and all(a | 1 << v == everyone
+                                     for v, a in enumerate(adj))
+    if value == 2:
+        return _complete_bipartite(adj, *upper) and _far_pair(adj, *lower, 2)
+    if value == 3:
+        return _dominating_clique(adj, upper) and _far_pair(adj, *lower, 3)
+    return False
+
+
+def _incidence_forest(h: Hypergraph) -> bool:
+    """True iff the vertex/edge incidence graph has no cycle, by
+    union-find over its vertex and hyperedge nodes."""
+    nv = len(h.vertices)
+    parent = list(range(nv + len(h.edges)))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for j, e in enumerate(h.edges):
+        for v in e:
+            a, b = root(v), root(nv + j)
+            if a == b:
+                return False
+            parent[a] = b
+    return True
+
+
+def _two_coloured_four_cycle(h: Hypergraph, side, cycle) -> bool:
+    """Every hyperedge has two vertices and no two are equal, so h is a
+    simple graph; side holds exactly one end of each, so it has no odd
+    cycle; and cycle lists four distinct vertices whose consecutive pairs,
+    closing, are hyperedges.  Then the shortest cycle has length 4."""
+    nv = len(h.vertices)
+    a = _index_mask(side, nv)
+    if a is None or any(len(e) != 2 for e in h.edges):
+        return False
+    pairs = {frozenset(e) for e in h.edges}
+    return (len(pairs) == len(h.edges)
+            and all(a >> u & 1 != a >> v & 1 for u, v in h.edges)
+            and len(cycle) == 4 and _index_mask(cycle, nv) is not None
+            and all(frozenset((cycle[i - 1], cycle[i])) in pairs
+                    for i in range(4)))
+
+
+def check_girth(h: Hypergraph, value, witness) -> bool:
+    """Accept the claim girth(h) == value.
+
+    value 2: witness = (j, k, u, v), two distinct hyperedges that both
+    hold the distinct vertices u and v; no cycle is shorter.  INFINITE:
+    witness is unused; the incidence graph is a forest.  value 4: witness
+    = (side, cycle) for _two_coloured_four_cycle.  Any other value is
+    rejected.
+    """
+    if value == 2:
+        j, k, u, v = witness
+        edges = range(len(h.edges))
+        return (j in edges and k in edges and j != k and u != v
+                and all(x in h.edges[j] and x in h.edges[k] for x in (u, v)))
+    if value == INFINITE:
+        return _incidence_forest(h)
+    if value == 4:
+        return _two_coloured_four_cycle(h, *witness)
+    return False
+
+
+def check_star(h: Hypergraph, value, witness) -> bool:
+    """Accept the claim is_star(h) == value.
+
+    True: witness = a vertex that lies on every hyperedge.  False:
+    witness = hyperedge indices whose common intersection is empty.
+    """
+    if value:
+        return (witness in range(len(h.vertices))
+                and all(witness in e for e in h.edges))
+    if not witness or any(j not in range(len(h.edges)) for j in witness):
+        return False
+    return not set(h.edges[witness[0]]).intersection(
+        *(h.edges[j] for j in witness[1:]))
 
 
 @dataclass(frozen=True)

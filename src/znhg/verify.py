@@ -25,6 +25,19 @@ knowing n.  A lifted witness counts only after
 verify_kuratowski_witness accepts it, and a rotation only after
 verify_rotation_system does, both on n's own incidence graph; if either
 check fails, n takes the generic LR path, topology.hypergraph_planar.
+
+Diameter, girth and star are not searched for either.  The same masks
+give each value a witness: the hubs n/p, deficient only at p, form a
+dominating clique, and p^alpha, q^beta for the first and last of three or
+more primes have no common neighbour, so the diameter is 3; for two
+primes the split by divisibility by p^a is complete bipartite, the
+graph K_{b,a}, which gives diameter 2 (1 for n = pq) and, with both
+exponents at least 2, girth 4.  Otherwise a vertex pair met in two
+hyperedges gives girth 2, and with none the claim is a forest.  Star
+takes a common vertex or hyperedges with empty intersection.
+metrics.check_diameter, check_girth and check_star re-check each witness
+on h alone; a witness they reject, or none, falls back to the search in
+metrics.diameter, girth or is_star.
 """
 
 from __future__ import annotations
@@ -388,6 +401,99 @@ def _constructed_embedding(h: Hypergraph) -> topology.PlanarityResult | None:
     return topology.PlanarityResult(True, rotation=rotation)
 
 
+def _sides(f: Factorization, h: Hypergraph) -> tuple[list[int], list[int]]:
+    """For omega = 2, the vertex indices divisible by p^a, the full power
+    of the first prime, and the rest: the vertices deficient only at q
+    and those deficient only at p."""
+    p, a = f.factors[0]
+    return ([i for i, d in enumerate(h.vertices) if d % p**a == 0],
+            [i for i, d in enumerate(h.vertices) if d % p**a])
+
+
+def _diameter_certificate(f: Factorization, h: Hypergraph):
+    """(value, upper, lower) for metrics.check_diameter, or None.
+
+    omega >= 3: the hubs n/p are deficient only at p, so they are
+    pairwise compatible, and every other vertex, full at some prime, is
+    compatible with that prime's hub: a dominating clique.  p^alpha and
+    q^beta for the first and last primes are both deficient at the
+    middle primes, and a common neighbour would be deficient nowhere,
+    that is n.  omega = 2: the two sides of _sides form a complete
+    bipartite graph with no edge inside a side, one vertex each when
+    n = pq.
+    """
+    if f.omega >= 3:
+        index = {d: i for i, d in enumerate(h.vertices)}
+        (p, a), (q, b) = f.factors[0], f.factors[-1]
+        return (3, tuple(index.get(f.n // r) for r in f.primes),
+                (index.get(p**a), index.get(q**b)))
+    if f.omega == 2:
+        if f.exponents == (1, 1):
+            return 1, None, None
+        side_a, side_b = _sides(f, h)
+        return 2, (side_a, side_b), tuple(max(side_a, side_b, key=len)[:2])
+    return None
+
+
+def _girth_certificate(f: Factorization, h: Hypergraph):
+    """(value, witness) for metrics.check_girth.
+
+    For n = p^a q^b with a, b >= 2 the hypergraph is the graph K_{b,a}
+    on the two sides of _sides.  Otherwise the first vertex pair met
+    again, scanning the hyperedges in order, gives girth 2, and without
+    one the claim is a forest.
+    """
+    if f.omega == 2 and min(f.exponents) >= 2:
+        side_a, side_b = _sides(f, h)
+        return 4, (side_a, (side_a[0], side_b[0], side_a[1], side_b[1]))
+    first: dict[tuple[int, int], int] = {}
+    for j, e in enumerate(h.edges):
+        for x, u in enumerate(e):
+            for v in e[x + 1:]:
+                k = first.setdefault((u, v), j)
+                if k != j:
+                    return 2, (k, j, u, v)
+    return math.inf, None
+
+
+def _star_certificate(h: Hypergraph):
+    """(value, witness) for metrics.check_star, or None without edges:
+    a vertex common to every hyperedge, or the hyperedges that shrank the
+    running intersection until it emptied."""
+    if not h.edges:
+        return None
+    common, chosen = set(h.edges[0]), [0]
+    for j, e in enumerate(h.edges):
+        if not common.issubset(e):
+            common.intersection_update(e)
+            chosen.append(j)
+            if not common:
+                return False, chosen
+    return True, min(common)
+
+
+def _certified(h: Hypergraph, certificate, check, search):
+    """The certificate's value if check accepts it on h, else search(h)."""
+    if certificate is not None and check(h, *certificate):
+        return certificate[0]
+    return search(h)
+
+
+def _certified_diameter(f: Factorization, h: Hypergraph):
+    return _certified(h, _diameter_certificate(f, h), metrics.check_diameter,
+                      metrics.diameter)
+
+
+def _certified_girth(f: Factorization, h: Hypergraph):
+    return _certified(h, _girth_certificate(f, h), metrics.check_girth,
+                      metrics.girth)
+
+
+def _certified_star(h: Hypergraph):
+    return _certified(h, _star_certificate(h), metrics.check_star,
+                      metrics.is_star)
+
+
 def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
               checks, host_tree_limit: int) -> tuple[list, dict]:
     """Run the selected checks on h against the prediction for n.
@@ -415,10 +521,10 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
     if h.is_empty:
         return rows, facts
     if "diameter" in checks:
-        facts["diameter"] = metrics.diameter(h)
+        facts["diameter"] = _certified_diameter(f, h)
         compare("diameter", "diameter", facts["diameter"], pred.diameter)
     if "girth" in checks:
-        facts["girth"] = metrics.girth(h)
+        facts["girth"] = _certified_girth(f, h)
         compare("girth", "girth", facts["girth"], pred.girth)
     if "chromatic" in checks:
         try:
@@ -435,7 +541,7 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
                 agree=chi == pred.chromatic and proper,
                 computed_text=f"{chi}{'' if proper else ' (A/B split improper)'}")
     if "star" in checks:
-        facts["star"] = metrics.is_star(h)
+        facts["star"] = _certified_star(h)
         compare("star", "star", facts["star"], pred.star)
     if "single-edge" in checks:
         compare("single-edge", "single_edge", facts["single_edge"],

@@ -111,13 +111,13 @@ def test_analyze_exit_2_on_finding(capsys, monkeypatch):
 
 
 def test_sweep_exit_2_on_finding(capsys, monkeypatch):
-    real_diameter = verify.metrics.diameter
+    real_diameter = verify._certified_diameter
 
-    def wrong_diameter(h):
-        value = real_diameter(h)
+    def wrong_diameter(f, h):
+        value = real_diameter(f, h)
         return 99 if value == 3 else value
 
-    monkeypatch.setattr(verify.metrics, "diameter", wrong_diameter)
+    monkeypatch.setattr(verify, "_certified_diameter", wrong_diameter)
     code, out, _ = run(capsys, "sweep", "2", "40", "--checks", "diameter")
     assert code == 2
     assert "FINDING n=30 diameter: computed=99 predicted=3" in out

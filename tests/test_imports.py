@@ -1,6 +1,8 @@
 """Every module-level import in the package is used by its module, every
 private module-level name is used by some module of the package, and
-every public one by some module, test or benchmark.
+every public one by some module, test or benchmark.  metrics.py, whose
+certificate checkers re-check what verify.py produces, imports nothing
+from verify.py.
 
 No linter runs on this repository, so dead imports and helpers left
 behind by a deletion would otherwise go unnoticed.  __init__.py is
@@ -130,3 +132,49 @@ def test_no_unused_public_names():
     readers = [p.read_text() for d in ("tests", "bench")
                for p in sorted((ROOT / d).glob("*.py"))]
     assert unused_public_names(sources, readers) == []
+
+
+def imports_of(source: str, module: str) -> list[int]:
+    """Lines that import the package module, in any form and at any depth:
+    import and from-import statements, and import_module or __import__
+    calls with a literal name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module or ''}.{a.name}"
+                                           for a in node.names]
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", getattr(node.func, "id", None))
+              in ("import_module", "__import__")):
+            names = [a.value for a in node.args
+                     if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        else:
+            continue
+        if any(module in name.split(".") for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_imports_of_detected():
+    source = "\n".join([
+        "from . import verify",
+        "from .verify import analyze",
+        "import znhg.verify as v",
+        "from znhg import verify as v",
+        "def f():",
+        "    from znhg.verify import run_sweep",
+        "    return importlib.import_module('znhg.verify')",
+        "x = __import__('znhg.verify')",
+        "y = import_module('.verify', 'znhg')",
+        "from .topology import verify_rotation_system",
+        "from .metrics import verify_host_tree",
+        "import verifier",
+        "z = import_module('znhg.topology')",
+    ])
+    assert imports_of(source, "verify") == [1, 2, 3, 4, 6, 7, 8, 9]
+
+
+def test_metrics_does_not_import_verify():
+    assert imports_of((SRC / "metrics.py").read_text(), "verify") == []

@@ -13,7 +13,8 @@ import pytest
 from znhg.arith import factorize
 from znhg.groups import build_hypergraphs_for_group, dihedral
 from znhg.hypergraph import Hypergraph, build_comaximal_hypergraph, build_intersection_hypergraph
-from znhg.metrics import (ColoringContradiction, chromatic_number,
+from znhg.metrics import (INFINITE, ColoringContradiction, check_diameter,
+                          check_girth, check_star, chromatic_number,
                           constructive_two_coloring, diameter, distance, girth,
                           has_host_tree, is_connected, is_star, isomorphic,
                           verify_host_tree, verify_isomorphism)
@@ -237,6 +238,131 @@ def test_is_star_examples():
     assert is_star(Hypergraph((), ()))
 
 
+# --- certificate checkers ----------------------------------------------------
+#
+# Each mutation below breaks one part of a certificate the producers in
+# verify build, and the checker must reject it; the unmutated certificate
+# is accepted first, so the rejection is the mutation's doing.
+
+def certificates(n):
+    from znhg import verify
+
+    f = factorize(n)
+    h = build_intersection_hypergraph(f)
+    return (h, verify._diameter_certificate(f, h),
+            verify._girth_certificate(f, h), verify._star_certificate(h))
+
+
+def test_diameter_checker_rejects_a_removed_hub():
+    for n in (30, 210):
+        h, (value, hubs, far), _, _ = certificates(n)
+        assert check_diameter(h, value, hubs, far)
+        for k in range(len(hubs)):
+            assert not check_diameter(h, value, hubs[:k] + hubs[k + 1:], far)
+
+
+def test_diameter_checker_rejects_hubs_that_are_not_a_clique():
+    # the path 0-1-2-3-4 has diameter 4; {1, 3} dominates it and 0, 3
+    # have no common neighbour, but 1 and 3 are not adjacent
+    path = Hypergraph(tuple(range(5)), ((0, 1), (1, 2), (2, 3), (3, 4)))
+    assert diameter(path) == 4
+    assert not check_diameter(path, 3, (1, 3), (0, 3))
+    h, (value, hubs, far), _, _ = certificates(30)
+    assert not check_diameter(h, value, hubs + far[:1], far)
+
+
+def test_diameter_checker_rejects_an_adjacent_far_pair():
+    h, (value, hubs, far), _, _ = certificates(30)
+    assert not check_diameter(h, value, hubs, (hubs[0], hubs[1]))
+    h, (value, sides, far), _, _ = certificates(36)
+    assert check_diameter(h, value, sides, far)
+    assert not check_diameter(h, value, sides, (sides[0][0], sides[1][0]))
+    assert not check_diameter(h, value, sides, (far[0], far[0]))
+
+
+def test_diameter_checker_rejects_a_pair_with_a_common_neighbour():
+    # 15 and 30 are both deficient only at 2, so not adjacent, and both
+    # are adjacent to the hub 20: 2 apart, not 3
+    h, (value, hubs, far), _, _ = certificates(60)
+    pair = (h.vertex_index(15), h.vertex_index(30))
+    assert check_diameter(h, value, hubs, far)
+    assert not check_diameter(h, 3, hubs, pair)
+
+
+def test_diameter_checker_rejects_a_split_that_is_not_complete_bipartite():
+    h, (value, (side_a, side_b), far), _, _ = certificates(36)
+    assert not check_diameter(h, value, (side_a[1:], side_b + side_a[:1]), far)
+    assert not check_diameter(h, value, (side_a[1:], side_b), far)
+    assert not check_diameter(h, value, (side_a, side_a), far)
+
+
+def test_diameter_checker_decides_completeness():
+    assert check_diameter(build(6), 1, None, None)
+    assert not check_diameter(build(12), 1, None, None)
+    assert not check_diameter(build(30), 4, (), ())
+
+
+def test_girth_checker_rejects_edges_sharing_one_vertex():
+    h, _, (value, (j, k, u, v)), _ = certificates(60)
+    assert value == 2 and check_girth(h, 2, (j, k, u, v))
+    for a, b in combinations(range(len(h.edges)), 2):
+        shared = set(h.edges[a]) & set(h.edges[b])
+        if len(shared) == 1:
+            (x,) = shared
+            y = next(w for w in h.edges[a] if w != x)
+            assert not check_girth(h, 2, (a, b, x, y))
+            break
+    else:
+        raise AssertionError("no two hyperedges share exactly one vertex")
+    assert not check_girth(h, 2, (j, j, u, v))
+
+
+def test_girth_checker_rejects_a_cycle_as_a_forest():
+    for n in (36, 60, 210):
+        assert not check_girth(build(n), INFINITE, None)
+    for n in (6, 12, 30):
+        h = build(n)
+        assert check_girth(h, INFINITE, None) == (girth(h) == INFINITE)
+
+
+def test_girth_checker_rejects_a_four_cycle_with_an_edge_missing():
+    h, _, (value, (side, cycle)), _ = certificates(36)
+    assert value == 4 and check_girth(h, 4, (side, cycle))
+    w, x, y, z = cycle
+    missing = sorted((z, w))
+    cut = Hypergraph(h.vertices, tuple(e for e in h.edges if list(e) != missing))
+    assert len(cut.edges) == len(h.edges) - 1
+    assert not check_girth(cut, 4, (side, cycle))
+    assert not check_girth(h, 4, (side, (w, x, y, x)))
+
+
+def test_girth_checker_rejects_an_improper_two_colouring():
+    h, _, (_, (side, cycle)), _ = certificates(36)
+    assert not check_girth(h, 4, (side[1:], cycle))
+    assert not check_girth(h, 4, (range(len(h.vertices)), cycle))
+    # hyperedges of three vertices are outside the 4-cycle certificate
+    h60 = build(60)
+    assert not check_girth(h60, 4, ((), (0, 1, 2, 3)))
+
+
+def test_star_checker_rejects_a_wrong_star_vertex():
+    h, _, _, (value, centre) = certificates(12)
+    assert value is True and h.vertices[centre] == 4
+    assert check_star(h, True, centre)
+    for v in range(len(h.vertices)):
+        if v != centre:
+            assert not check_star(h, True, v)
+    assert not check_star(h, True, len(h.vertices))
+
+
+def test_star_checker_needs_an_empty_intersection():
+    h, _, _, (value, chosen) = certificates(30)
+    assert value is False and check_star(h, False, chosen)
+    assert not check_star(h, False, chosen[:-1])
+    assert not check_star(h, False, [])
+    assert not check_star(build(12), False, list(range(len(build(12).edges))))
+
+
 def test_host_tree_examples():
     r30 = has_host_tree(build(30), 8)
     assert r30.status == "yes"
@@ -406,3 +532,25 @@ def test_isomorphic_finds_random_relabellings(h, rng):
 @given(small_hypergraphs())
 def test_girth_agrees_with_cycle_oracle_on_random_inputs(h):
     assert girth(h) == girth_oracle(h)
+
+
+vertex_ids = st.integers(min_value=-1, max_value=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_hypergraphs(), st.sampled_from([1, 2, 3]),
+       st.lists(vertex_ids, max_size=4), st.lists(vertex_ids, max_size=4),
+       st.tuples(vertex_ids, vertex_ids))
+def test_accepted_certificates_are_true_on_random_inputs(h, value, xs, ys, pair):
+    # whatever the witness, a claim the checkers accept holds
+    if check_diameter(h, value, (xs, ys) if value == 2 else xs, pair):
+        assert diameter(h) == value
+    for claim, witness in ((2, (*pair, *xs[:2], 0, 0)[:4]),
+                           (4, (xs, (*ys, 0, 0, 0, 0)[:4])),
+                           (INFINITE, None)):
+        if check_girth(h, claim, witness):
+            assert girth(h) == claim
+    if check_star(h, True, pair[0]):
+        assert is_star(h)
+    if check_star(h, False, xs):
+        assert not is_star(h)

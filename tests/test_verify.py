@@ -171,13 +171,13 @@ def test_sweep_counts_unknown_hypertrees():
 def test_computed_disagreement_reported_by_analyze_and_sweep(monkeypatch):
     from znhg import verify as v
 
-    real_diameter = v.metrics.diameter
+    real_diameter = v._certified_diameter
 
-    def wrong_diameter(h):
-        value = real_diameter(h)
+    def wrong_diameter(f, h):
+        value = real_diameter(f, h)
         return 99 if value == 3 else value
 
-    monkeypatch.setattr(v.metrics, "diameter", wrong_diameter)
+    monkeypatch.setattr(v, "_certified_diameter", wrong_diameter)
     r = analyze(30)
     assert r.findings == ["diameter"]
     cmp = r.agreement["diameter"]
@@ -185,6 +185,45 @@ def test_computed_disagreement_reported_by_analyze_and_sweep(monkeypatch):
     s = run_sweep(30, 30, ("diameter",))
     assert [(f.n, f.check, f.computed, f.predicted) for f in s.findings] == [
         (30, "diameter", "99", "3")]
+
+
+def test_no_diameter_girth_or_star_search_for_n_up_to_5000(monkeypatch):
+    # every n with omega >= 2 gets a certificate its checker accepts
+    from znhg import metrics
+
+    def searched(h):
+        raise AssertionError("searched instead of certified")
+
+    for name in ("diameter", "girth", "is_star"):
+        monkeypatch.setattr(metrics, name, searched)
+    r = run_sweep(2, 5000, ("diameter", "girth", "star"))
+    assert r.total_findings == 0
+    assert r.compared["diameter"] == len(
+        [f for f in factorize_range(2, 5000) if f.omega >= 2])
+    assert analyze(2**3 * 3**3 * 5 * 7).findings == []
+
+
+def test_rejected_certificates_fall_back_to_search(monkeypatch, builds5000):
+    from znhg import classify, metrics
+    from znhg import verify as v
+
+    expected = {n: (metrics.diameter(h), metrics.girth(h), metrics.is_star(h))
+                for n, (f, h) in builds5000.items() if n <= 500 and f.omega >= 2}
+    sweep = run_sweep(2, 500, ("diameter", "girth", "star"))
+    searches = []
+    for name in ("diameter", "girth", "is_star"):
+        real = getattr(metrics, name)
+        monkeypatch.setattr(metrics, name, lambda h, real=real, name=name: (
+            searches.append(name), real(h))[1])
+    for name in ("check_diameter", "check_girth", "check_star"):
+        monkeypatch.setattr(metrics, name, lambda h, *certificate: False)
+    for n, values in expected.items():
+        f, h = builds5000[n]
+        _, facts = v._evaluate(f, h, classify.predict(f),
+                               ("diameter", "girth", "star"), 9)
+        assert (facts["diameter"], facts["girth"], facts["star"]) == values, n
+    assert searches == ["diameter", "girth", "is_star"] * len(expected)
+    assert run_sweep(2, 500, ("diameter", "girth", "star")) == sweep
 
 
 def test_run_sweep_bounds_jobs(monkeypatch):
