@@ -10,30 +10,37 @@ Two constructions on the proper nontrivial subgroups <d> of Z_n:
   which for Z_n reduces to gcd(d, d') = 1 (validated element-wise
   against the group engine in groups.py).
 
-A vertex <d> carries its deficiency mask, bit i set iff the exponent of
-the i-th prime in d is below alpha_i.  lcm(d, d') = n iff no prime is
-deficient in both, so trivial intersection is disjointness of masks.
+A vertex <d> of the first carries its deficiency mask, bit i set iff the
+exponent of the i-th prime in d is below alpha_i.  lcm(d, d') = n iff no
+prime is deficient in both, so trivial intersection is disjointness of
+masks.  A vertex of the second carries its support mask, bit i set iff
+the i-th prime divides d, and gcd(d, d') = 1 iff the supports are
+disjoint.  d -> n/d swaps the two masks.
 
-Hyperedges are exactly the maximal cliques of the underlying
-compatibility graph, enumerated with pivoted Bron-Kerbosch over
-bitmasks and re-sorted into a canonical form.
+Either way compatibility depends on the mask alone, and vertices of one
+mask class have the same neighbours and are never compatible with each
+other.  So the hyperedges are the maximal cliques of the graph on the at
+most 2^omega - 2 mask classes, enumerated with pivoted Bron-Kerbosch over
+bitmasks, each expanded into one vertex per class in every way and
+re-sorted into a canonical form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb, gcd, lcm, prod
 from typing import Callable, Hashable, Sequence
 
-from .arith import CapabilityError, Factorization, proper_nontrivial_divisors
+from .arith import CapabilityError, Factorization
 
-# analyze on a 2-core machine: 0.4 s for the 9th primorial (21,146
-# hyperedges, 510 vertices), for (150, 150) (22,500, 300) and for
-# (18, 18, 18) (23,328, 1,026); 0.6 s for (24, 1000) (24,000, 1,024), the
-# slowest pattern both bounds pass; 2.4 s for (9, 9, 9, 9) (91,854).  At
-# 1,100 vertices (1, a) and (4, a) take 0.1 s, and (1, 2000) takes 0.4 s.
-# Construction is now most of the cost, so both bounds sit far inside the
-# ~7 s budget they were set for; they stay put so no exit code changes.
+# analyze on a 2-core machine: 0.5 s for the 9th primorial (21,146
+# hyperedges, 510 vertices), whose mask classes are single vertices; 0.2 s
+# for (150, 150) (22,500, 300), for (18, 18, 18) (23,328, 1,026) and for
+# (24, 1000) (24,000, 1,024), the largest pattern both bounds pass; 0.8 s
+# for (9, 9, 9, 9) (91,854).  At 1,100 vertices (1, a) and (4, a) take
+# 0.03 s, and (1, 2000) takes 0.06 s.  Both bounds sit far inside the ~7 s
+# budget they were set for; they stay put so no exit code changes.
 MAX_HYPEREDGES = 25000
 MAX_VERTICES = 1100
 
@@ -174,33 +181,43 @@ def comaximal(d1: int, d2: int, f: Factorization) -> bool:
     return gcd(d1, d2) == 1
 
 
-def vertex_set(f: Factorization) -> list[tuple[int, int]]:
-    """Vertices of the trivial-intersection hypergraph as (generator,
-    deficiency mask) pairs, ascending by generator.
-
-    Divisors are built from their exponents as in arith.divisors.  <d>
-    qualifies iff its mask is neither full (some exponent is full, which
-    excludes d = 1) nor 0 (d = n): then any divisor whose mask is the
-    complement is a partner.  Empty when omega(n) <= 1.
-    """
+def _masked_divisors(f: Factorization,
+                     bit: Callable[[int, int], bool]) -> list[tuple[int, int]]:
+    """(d, mask) for the divisors d of n with 0 < mask < full, ascending
+    by d, where bit i of the mask is bit(r, alpha_i) for the exponent r
+    of the i-th prime in d.  Divisors are built from their exponents as
+    in arith.divisors."""
     pairs = [(1, 0)]
     for i, (p, a) in enumerate(f.factors):
-        pairs = [(d * p**r, m | (r < a) << i)
-                 for d, m in pairs for r in range(a + 1)]
+        steps = [(p**r, bit(r, a) << i) for r in range(a + 1)]
+        pairs = [(d * q, m | b) for d, m in pairs for q, b in steps]
     full = (1 << f.omega) - 1
     return sorted((d, m) for d, m in pairs if 0 < m < full)
 
 
-def comaximal_vertex_generators(f: Factorization) -> list[int]:
-    """Divisors d coprime to some other proper nontrivial divisor, ascending.
+def vertex_set(f: Factorization) -> list[tuple[int, int]]:
+    """Vertices of the trivial-intersection hypergraph as (generator,
+    deficiency mask) pairs, ascending by generator.
 
-    That holds iff some prime p of n does not divide d.  Then p is such a
-    partner: p < n since d > 1 brings another prime, and p != d since p
-    divides itself but not d.  Conversely every prime of a coprime
-    partner e is a prime of n that does not divide d.
+    <d> qualifies iff its mask is neither full (some exponent is full,
+    which excludes d = 1) nor 0 (d = n): then any divisor whose mask is
+    the complement is a partner.  Empty when omega(n) <= 1.
     """
-    return [d for d in proper_nontrivial_divisors(f)
-            if any(d % p for p in f.primes)]
+    return _masked_divisors(f, lambda r, a: r < a)
+
+
+def support_set(f: Factorization) -> list[tuple[int, int]]:
+    """Vertices of the co-maximal hypergraph as (generator, support mask)
+    pairs, ascending by generator.
+
+    <d> is coprime to some other proper nontrivial divisor iff some prime
+    p of n does not divide d, that is iff its support is not full; a
+    support of 0 is d = 1.  Then p is such a partner: p < n since d > 1
+    brings another prime, and p != d since p divides itself but not d.
+    Conversely every prime of a coprime partner e is a prime of n that
+    does not divide d.  Empty when omega(n) <= 1.
+    """
+    return _masked_divisors(f, lambda r, a: r > 0)
 
 
 def intersection_edge_count(f: Factorization) -> int:
@@ -241,23 +258,45 @@ def check_buildable(f: Factorization) -> None:
                 f"is limited to {limit}")
 
 
+def _build_on_mask_classes(pairs: list[tuple[int, int]]) -> Hypergraph:
+    """The hypergraph of maximal families with pairwise disjoint masks,
+    on (label, nonzero mask) pairs in ascending label order.
+
+    Equal masks meet, so a family takes at most one vertex per mask
+    class, and it is maximal iff its classes form a maximal clique of
+    the class graph: a class extending the classes extends the family
+    by any of its members.  Each maximal class clique is therefore the
+    product of its classes' member lists.
+    """
+    members: dict[int, list[int]] = {}
+    for i, (_, m) in enumerate(pairs):
+        members.setdefault(m, []).append(i)
+    masks = list(members)
+    adj = [0] * len(masks)
+    for a, ma in enumerate(masks):
+        for b in range(a + 1, len(masks)):
+            if not ma & masks[b]:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    cliques: list[int] = []
+    if masks:
+        _bron_kerbosch_pivot(adj, 0, (1 << len(masks)) - 1, 0, cliques)
+    lists = list(members.values())
+    edges = []
+    for clique in cliques:
+        classes = _mask_to_tuple(clique)
+        if len(classes) >= 2:
+            edges += [tuple(sorted(e))
+                      for e in product(*(lists[c] for c in classes))]
+    edges.sort()
+    return Hypergraph(tuple(d for d, _ in pairs), tuple(edges))
+
+
 def build_intersection_hypergraph(f: Factorization) -> Hypergraph:
     """The trivial-intersection hypergraph of Z_n on generator labels."""
-    verts = vertex_set(f)
-    gens = [d for d, _ in verts]
-    masks = [m for _, m in verts]
-
-    def compat(i: int, j: int) -> bool:
-        return not masks[i] & masks[j]
-
-    return canonical_hypergraph(gens, enumerate_maximal_edges(len(gens), compat))
+    return _build_on_mask_classes(vertex_set(f))
 
 
 def build_comaximal_hypergraph(f: Factorization) -> Hypergraph:
     """The co-maximal hypergraph of Z_n on generator labels."""
-    gens = comaximal_vertex_generators(f)
-
-    def compat(i: int, j: int) -> bool:
-        return gcd(gens[i], gens[j]) == 1
-
-    return canonical_hypergraph(gens, enumerate_maximal_edges(len(gens), compat))
+    return _build_on_mask_classes(support_set(f))

@@ -211,13 +211,13 @@ def constructive_two_coloring(f: Factorization, h: Hypergraph) -> dict:
         raise ValueError("two-coloring needs at least two prime divisors")
     p, a = f.factors[0]
     full = p**a
-    coloring = {lab: "B" if lab % full else "A" for lab in h.vertices}
-    for e in h.edge_label_sets():
-        seen = {coloring[lab] for lab in e}
-        if len(seen) != 2:
+    colors = ["B" if lab % full else "A" for lab in h.vertices]
+    for e in h.edges:
+        if len({colors[i] for i in e}) != 2:
+            labels = tuple(h.vertices[i] for i in e)
             raise ColoringContradiction(
-                f"edge {e} is monochromatic under the A/B split for n={f.n}")
-    return coloring
+                f"edge {labels} is monochromatic under the A/B split for n={f.n}")
+    return dict(zip(h.vertices, colors))
 
 
 def is_star(h: Hypergraph) -> bool:

@@ -352,11 +352,16 @@ def _base_nodes(f: Factorization, h: Hypergraph, beta, sigma):
 
     A vertex label goes through _lift_vertex; a hyperedge label goes to
     the first hyperedge holding the image of its vertices, which by
-    maximality meets the image exactly there.  A label without an image
+    maximality meets the image exactly there: the least index on the
+    hyperedge lists of every image vertex.  A label without an image
     maps to None.
     """
     index = {d: i for i, d in enumerate(h.vertices)}
     nv = len(h.vertices)
+    incident = [[] for _ in range(nv)]
+    for j, e in enumerate(h.edges):
+        for v in e:
+            incident[v].append(j)
 
     def vertex(r):
         exps = _lift_vertex(r, beta, f.exponents, sigma)
@@ -366,9 +371,12 @@ def _base_nodes(f: Factorization, h: Hypergraph, beta, sigma):
     def node(label):
         if not isinstance(label, frozenset):
             return vertex(label)
-        image = {vertex(r) for r in label}
-        return next((nv + j for j, e in enumerate(h.edges)
-                     if image.issubset(e)), None)
+        image = [vertex(r) for r in label]
+        if None in image:
+            return None
+        common = set(incident[image[0]]).intersection(
+            *(incident[v] for v in image[1:]))
+        return nv + min(common) if common else None
 
     return node
 

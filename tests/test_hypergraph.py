@@ -1,7 +1,9 @@
 """Construction oracles: the clique enumerator is checked against an
 exhaustive subset scan, the vertex-set formula against a brute-force
-partner search, the deficiency masks against lcm, and the gcd reduction
-against the element-level engine.
+partner search, the deficiency masks against lcm, the support masks
+against gcd, the mask-class builders against the generic enumerator on
+the pairwise relation, and the gcd reduction against the element-level
+engine.
 """
 
 import math
@@ -15,11 +17,10 @@ from znhg.groups import Subgroup, cyclic, set_product, zn_subgroup_of_divisor
 from znhg.hypergraph import (MAX_HYPEREDGES, MAX_VERTICES, Hypergraph,
                              build_comaximal_hypergraph,
                              build_intersection_hypergraph, canonical_hypergraph,
-                             check_buildable, comaximal,
-                             comaximal_vertex_generators, enumerate_maximal_edges,
+                             check_buildable, comaximal, enumerate_maximal_edges,
                              intersection_edge_count,
-                             intersection_vertex_count, trivially_intersects,
-                             vertex_set)
+                             intersection_vertex_count, support_set,
+                             trivially_intersects, vertex_set)
 from znhg.metrics import isomorphic
 
 
@@ -124,7 +125,45 @@ def test_comaximal_vertices_match_pairwise_definition_to_3000():
         divs = proper_nontrivial_divisors(f)
         pairwise = [d for d in divs
                     if any(math.gcd(d, e) == 1 for e in divs if e != d)]
-        assert comaximal_vertex_generators(f) == pairwise, f.n
+        assert [d for d, _ in support_set(f)] == pairwise, f.n
+
+
+def test_support_masks_are_disjoint_exactly_when_gcd_is_1_to_2000():
+    for f in factorize_range(2, 2000):
+        verts = support_set(f)
+        for d, mask in verts:
+            assert mask == sum(1 << i for i, p in enumerate(f.primes)
+                               if d % p == 0), (f.n, d)
+        for (d1, m1), (d2, m2) in combinations(verts, 2):
+            assert (not m1 & m2) == comaximal(d1, d2, f), (f.n, d1, d2)
+
+
+def pairwise_builds(f):
+    """Both hypergraphs by the generic enumerator on the pairwise lcm and
+    gcd relations, the construction the mask-class builders replace."""
+    gens = [d for d, _ in vertex_set(f)]
+    inter = canonical_hypergraph(gens, enumerate_maximal_edges(
+        len(gens), lambda i, j: math.lcm(gens[i], gens[j]) == f.n))
+    co_gens = [d for d in proper_nontrivial_divisors(f)
+               if any(d % p for p in f.primes)]
+    comax = canonical_hypergraph(co_gens, enumerate_maximal_edges(
+        len(co_gens), lambda i, j: math.gcd(co_gens[i], co_gens[j]) == 1))
+    return inter, comax
+
+
+@pytest.mark.parametrize("n", [2**24 * 3**1000, 2**18 * 3**18 * 5**18,
+                               2**2 * 3**2 * 5**2 * 7**2 * 11 * 13,
+                               223092870])
+def test_mask_class_builders_match_pairwise_construction(n):
+    f = factorize(n)
+    assert (build_intersection_hypergraph(f),
+            build_comaximal_hypergraph(f)) == pairwise_builds(f)
+
+
+def test_mask_class_builders_match_pairwise_construction_to_2000(builds5000):
+    for n in range(2, 2001):
+        f, h = builds5000[n]
+        assert (h, build_comaximal_hypergraph(f)) == pairwise_builds(f), n
 
 
 def test_enumerate_maximal_edges_complete_triple():
