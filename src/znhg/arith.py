@@ -183,9 +183,3 @@ def divisors(f: Factorization) -> list[int]:
         out = [d * p**r for d in out for r in range(a + 1)]
     out.sort()
     return out
-
-
-def proper_nontrivial_divisors(f: Factorization) -> list[int]:
-    """Divisors d with 1 < d < n, ascending; empty for n = 1 and n prime."""
-    return [d for d in divisors(f) if 1 < d < f.n]
-

@@ -12,9 +12,10 @@ with verify_isomorphism.
 The Z_n harness also takes diameter, girth and star from witnesses that
 check_diameter, check_girth and check_star accept on the hypergraph
 alone, in a few passes over the vertices and hyperedges instead of a
-BFS from every vertex.  diameter, girth and is_star are the fallback
-when a witness is rejected, and the tests' oracles.  This module imports
-nothing from verify, where the witnesses are built.
+BFS from every vertex.  A witness they reject is reported, not searched
+around: diameter, girth, is_star and chromatic_number serve the tests
+as independent oracles.  This module imports nothing from verify, where
+the witnesses are built.
 """
 
 from __future__ import annotations

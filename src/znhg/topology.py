@@ -11,12 +11,11 @@ extracts a Kuratowski witness by bisection.  theta_rotation, which knows
 nothing of Z_n either, embeds in linear time any graph that is a forest
 plus at most one subdivided theta graph, the shape of the incidence
 graph of every planar Z_n.  On Z_n, verify lifts a stored witness from
-the exponent pattern or takes theta_rotation's embedding, checks it with
-verify_kuratowski_witness or verify_rotation_system, and calls
-hypergraph_planar only when the check fails; the tests use it as the
-independent oracle.  networkx is imported inside the two functions that
-run the LR test, so a process that never takes the generic path never
-loads it.
+the exponent pattern or takes theta_rotation's embedding and checks it
+with verify_kuratowski_witness or verify_rotation_system; it never calls
+hypergraph_planar, which the tests use as the independent oracle.
+networkx is imported inside the two functions that run the LR test, so
+a process that never takes the generic path never loads it.
 """
 
 from __future__ import annotations

@@ -23,8 +23,7 @@ stored as literal data.  The incidence graph of every planar pattern,
 subdivided theta graph, which topology.theta_rotation embeds without
 knowing n.  A lifted witness counts only after
 verify_kuratowski_witness accepts it, and a rotation only after
-verify_rotation_system does, both on n's own incidence graph; if either
-check fails, n takes the generic LR path, topology.hypergraph_planar.
+verify_rotation_system does, both on n's own incidence graph.
 
 Diameter, girth and star are not searched for either.  The same masks
 give each value a witness: the hubs n/p, deficient only at p, form a
@@ -36,8 +35,13 @@ exponents at least 2, girth 4.  Otherwise a vertex pair met in two
 hyperedges gives girth 2, and with none the claim is a forest.  Star
 takes a common vertex or hyperedges with empty intersection.
 metrics.check_diameter, check_girth and check_star re-check each witness
-on h alone; a witness they reject, or none, falls back to the search in
-metrics.diameter, girth or is_star.
+on h alone.
+
+No check falls back to a search.  A certificate that is missing or that
+its checker rejects, like an improper A/B split for the chromatic
+number, gives the computed value "uncertified", which agrees with no
+prediction and so is reported as a finding.  The searches in metrics
+and topology serve the tests as independent oracles.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ SCHEMA = "znhg/1"
 ALL_CHECKS = ("diameter", "girth", "chromatic", "star", "hypertree",
               "planarity", "single-edge", "emptiness", "iso")
 DEFAULT_HOST_TREE_LIMIT = 9
+UNCERTIFIED = "uncertified"
 
 
 def _encode(value):
@@ -308,10 +313,6 @@ _BASE_WITNESSES = {
     )),
 }
 
-def _base_witness(base: tuple[int, ...]) -> tuple[str, tuple]:
-    """The stored Kuratowski witness (kind, edges) of a base pattern."""
-    return _BASE_WITNESSES[base]
-
 
 def _by_exponent(exponents: tuple[int, ...]) -> list[int]:
     """Indices of n's primes by descending exponent, ties in prime order:
@@ -388,7 +389,7 @@ def _lifted_planarity(f: Factorization,
     if found is None:
         return None
     base, beta, sigma = found
-    kind, base_edges = _base_witness(base)
+    kind, base_edges = _BASE_WITNESSES[base]
     node = _base_nodes(f, h, beta, sigma)
     pairs = [(node(r), node(c)) for r, c in base_edges]
     if any(u is None or v is None for u, v in pairs):
@@ -480,26 +481,23 @@ def _star_certificate(h: Hypergraph):
     return True, min(common)
 
 
-def _certified(h: Hypergraph, certificate, check, search):
-    """The certificate's value if check accepts it on h, else search(h)."""
+def _certified(h: Hypergraph, certificate, check):
+    """The certificate's value if check accepts it on h, else UNCERTIFIED."""
     if certificate is not None and check(h, *certificate):
         return certificate[0]
-    return search(h)
+    return UNCERTIFIED
 
 
 def _certified_diameter(f: Factorization, h: Hypergraph):
-    return _certified(h, _diameter_certificate(f, h), metrics.check_diameter,
-                      metrics.diameter)
+    return _certified(h, _diameter_certificate(f, h), metrics.check_diameter)
 
 
 def _certified_girth(f: Factorization, h: Hypergraph):
-    return _certified(h, _girth_certificate(f, h), metrics.check_girth,
-                      metrics.girth)
+    return _certified(h, _girth_certificate(f, h), metrics.check_girth)
 
 
 def _certified_star(h: Hypergraph):
-    return _certified(h, _star_certificate(h), metrics.check_star,
-                      metrics.is_star)
+    return _certified(h, _star_certificate(h), metrics.check_star)
 
 
 def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
@@ -516,11 +514,10 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
     facts = {"is_empty": h.is_empty, "vertex_count": len(h.vertices),
              "edge_count": len(h.edges), "single_edge": len(h.edges) == 1}
 
-    def compare(check, fld, computed, predicted, agree=None,
-                computed_text=None, predicted_text=None):
+    def compare(check, fld, computed, predicted, computed_text=None,
+                predicted_text=None):
         rows.append((
-            check, fld, computed, predicted,
-            bool(computed == predicted if agree is None else agree),
+            check, fld, computed, predicted, bool(computed == predicted),
             str(_encode(computed)) if computed_text is None else computed_text,
             str(_encode(predicted)) if predicted_text is None else predicted_text))
 
@@ -540,14 +537,10 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
             proper = True
         except metrics.ColoringContradiction:
             proper = False
-        # a proper A/B split of a hypergraph with an edge proves chi = 2,
-        # so the backtracking search runs only when the split fails
-        chi = facts["chromatic"] = (2 if proper and h.edges
-                                    else metrics.chromatic_number(h))
+        # a proper A/B split of a hypergraph with an edge proves chi = 2
+        facts["chromatic"] = 2 if proper and h.edges else UNCERTIFIED
         facts["two_coloring_proper"] = proper
-        compare("chromatic", "chromatic", chi, pred.chromatic,
-                agree=chi == pred.chromatic and proper,
-                computed_text=f"{chi}{'' if proper else ' (A/B split improper)'}")
+        compare("chromatic", "chromatic", facts["chromatic"], pred.chromatic)
     if "star" in checks:
         facts["star"] = _certified_star(h)
         compare("star", "star", facts["star"], pred.star)
@@ -562,15 +555,13 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
                     predicted_text="yes" if pred.hypertree else "no")
     if "planarity" in checks:
         # a lifted witness or constructed embedding is checked before it
-        # is returned, and is_planar verifies its certificate and raises if
-        # it fails, so a result reaching here always carries a valid one
-        res = (_lifted_planarity(f, h) or _constructed_embedding(h)
-               or topology.hypergraph_planar(h))
-        facts["planar"] = res.planar
-        if not res.planar:
+        # is returned, so a result here always carries a valid certificate
+        res = _lifted_planarity(f, h) or _constructed_embedding(h)
+        facts["planar"] = UNCERTIFIED if res is None else res.planar
+        if res is not None and not res.planar:
             facts["planarity_witness"] = res.witness_kind
-        facts["planarity_certificate_valid"] = True
-        compare("planarity", "planar", res.planar, pred.planar)
+        facts["planarity_certificate_valid"] = res is not None
+        compare("planarity", "planar", facts["planar"], pred.planar)
     if "iso" in checks:
         co = build_comaximal_hypergraph(f)
         ok = metrics.verify_isomorphism(h, co, {d: f.n // d for d in h.vertices})

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from znhg.arith import (PRIMALITY_BOUND, RANGE_LIMIT, CapabilityError,
                         Factorization, _is_prime, divisors, factorize,
-                        factorize_range, proper_nontrivial_divisors)
+                        factorize_range)
 
 
 def trial_division(n):
@@ -244,12 +244,13 @@ def test_factorize_matches_a_sieve_to_30000():
     (4, [2]),
 ])
 def test_proper_nontrivial_divisors(n, expected):
-    assert proper_nontrivial_divisors(factorize(n)) == expected
+    # the construction oracles take these as divisors(f)[1:-1]
+    assert divisors(factorize(n))[1:-1] == expected
 
 
 def test_divisor_count_matches_formula():
     for f in factorize_range(2, 5000):
-        assert len(proper_nontrivial_divisors(f)) == f.divisor_count() - 2
+        assert len(divisors(f)) == f.divisor_count()
 
 
 def test_divisors_ascending():

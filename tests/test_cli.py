@@ -123,6 +123,62 @@ def test_sweep_exit_2_on_finding(capsys, monkeypatch):
     assert "FINDING n=30 diameter: computed=99 predicted=3" in out
 
 
+def _rejecting(checker):
+    def patch(monkeypatch):
+        monkeypatch.setattr(verify.metrics, checker,
+                            lambda h, *certificate: False)
+    return patch
+
+
+def _improper_split(monkeypatch):
+    def improper(f, h):
+        raise verify.metrics.ColoringContradiction("forced")
+    monkeypatch.setattr(verify.metrics, "constructive_two_coloring", improper)
+
+
+def _truncated_lift(monkeypatch):
+    for base, (kind, edges) in list(verify._BASE_WITNESSES.items()):
+        monkeypatch.setitem(verify._BASE_WITNESSES, base, (kind, edges[:-1]))
+
+
+def _truncated_rotation(monkeypatch):
+    real = verify.topology.theta_rotation
+
+    def truncated(g):
+        rotation = real(g)
+        return rotation and tuple(order[:-1] for order in rotation)
+    monkeypatch.setattr(verify.topology, "theta_rotation", truncated)
+
+
+@pytest.mark.parametrize("patch,n,check,fld,predicted", [
+    (_rejecting("check_diameter"), 30, "diameter", "diameter", "3"),
+    (_rejecting("check_girth"), 30, "girth", "girth", "infinite"),
+    (_rejecting("check_star"), 30, "star", "star", "False"),
+    (_improper_split, 30, "chromatic", "chromatic", "2"),
+    (_truncated_lift, 216, "planarity", "planar", "False"),
+    (_truncated_rotation, 60, "planarity", "planar", "True"),
+], ids=["diameter", "girth", "star", "chromatic", "nonplanar lift",
+        "planar theta rotation"])
+def test_rejected_certificate_exits_2(capsys, monkeypatch, patch, n, check,
+                                      fld, predicted):
+    # a rejected certificate is reported as an "uncertified" finding,
+    # never replaced by a searched value
+    patch(monkeypatch)
+    code, out, _ = run(capsys, "analyze", str(n), "--json")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["computed"][fld] == "uncertified"
+    assert doc["agreement"][fld]["computed"] == "uncertified"
+    assert doc["agreement"][fld]["agree"] is False
+    if check == "planarity":
+        assert doc["computed"]["planarity_certificate_valid"] is False
+        assert "planarity_witness" not in doc["computed"]
+    code, out, _ = run(capsys, "sweep", str(n), str(n), "--checks", check)
+    assert code == 2
+    assert (f"FINDING n={n} {check}: computed=uncertified "
+            f"predicted={predicted}") in out
+
+
 def test_bad_subcommand_exits_1(capsys):
     assert run(capsys, "frobnicate")[0] == 1
     assert run(capsys, "export", "30", "--format", "svg",
@@ -397,9 +453,11 @@ def test_random_argv_exits_cleanly(argv):
 
 _NO_NETWORKX = """
 import contextlib, io, sys
-from znhg import cli, verify
-if sys.argv[1] == "fallback":
-    verify._constructed_embedding = lambda h: None
+from znhg import arith, cli, topology
+from znhg.hypergraph import build_intersection_hypergraph
+if sys.argv[1] == "oracle":
+    topology.hypergraph_planar(
+        build_intersection_hypergraph(arith.factorize(60)))
 for argv in (["analyze", "60"], ["analyze", "7560"],
              ["sweep", "2", "2000", "--checks", "planarity", "--json"]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -409,10 +467,10 @@ print("networkx" in sys.modules)
 
 
 @pytest.mark.parametrize("mode,imported", [("constructed", "False"),
-                                           ("fallback", "True")])
+                                           ("oracle", "True")])
 def test_planarity_on_z_n_never_imports_networkx(mode, imported):
     # a fresh interpreter, since this one may have imported networkx for
-    # other tests; a forced LR fallback shows that the probe sees it
+    # other tests; one call of the LR oracle shows that the probe sees it
     import znhg
 
     env = dict(os.environ)

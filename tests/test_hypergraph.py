@@ -11,8 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from znhg.arith import (CapabilityError, factorize, factorize_range,
-                        proper_nontrivial_divisors)
+from znhg.arith import CapabilityError, divisors, factorize, factorize_range
 from znhg.groups import Subgroup, cyclic, set_product, zn_subgroup_of_divisor
 from znhg.hypergraph import (MAX_HYPEREDGES, MAX_VERTICES, Hypergraph,
                              build_comaximal_hypergraph,
@@ -26,7 +25,7 @@ from znhg.metrics import isomorphic
 
 def brute_force_vertex_generators(f):
     """d is a vertex iff some other proper divisor meets it trivially."""
-    divs = proper_nontrivial_divisors(f)
+    divs = divisors(f)[1:-1]
     return [d for d in divs
             if any(math.lcm(d, e) == f.n for e in divs if e != d)]
 
@@ -122,7 +121,7 @@ def test_vertex_masks_are_disjoint_exactly_when_lcm_is_n_to_2000():
 
 def test_comaximal_vertices_match_pairwise_definition_to_3000():
     for f in factorize_range(2, 3000):
-        divs = proper_nontrivial_divisors(f)
+        divs = divisors(f)[1:-1]
         pairwise = [d for d in divs
                     if any(math.gcd(d, e) == 1 for e in divs if e != d)]
         assert [d for d, _ in support_set(f)] == pairwise, f.n
@@ -144,7 +143,7 @@ def pairwise_builds(f):
     gens = [d for d, _ in vertex_set(f)]
     inter = canonical_hypergraph(gens, enumerate_maximal_edges(
         len(gens), lambda i, j: math.lcm(gens[i], gens[j]) == f.n))
-    co_gens = [d for d in proper_nontrivial_divisors(f)
+    co_gens = [d for d in divisors(f)[1:-1]
                if any(d % p for p in f.primes)]
     comax = canonical_hypergraph(co_gens, enumerate_maximal_edges(
         len(co_gens), lambda i, j: math.gcd(co_gens[i], co_gens[j]) == 1))

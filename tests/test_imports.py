@@ -2,7 +2,8 @@
 private module-level name is used by some module of the package, and
 every public one by some module, test or benchmark.  metrics.py, whose
 certificate checkers re-check what verify.py produces, imports nothing
-from verify.py.
+from verify.py, and verify.py reaches none of the searches that the
+certificates replace.
 
 No linter runs on this repository, so dead imports and helpers left
 behind by a deletion would otherwise go unnoticed.  __init__.py is
@@ -178,3 +179,60 @@ def test_imports_of_detected():
 
 def test_metrics_does_not_import_verify():
     assert imports_of((SRC / "metrics.py").read_text(), "verify") == []
+
+
+SEARCHES = {"metrics": ("diameter", "girth", "is_star", "chromatic_number"),
+            "topology": ("hypergraph_planar", "is_planar")}
+
+
+def search_references(source: str) -> list[int]:
+    """Lines that reach a search of SEARCHES: a from-import of it, a bare
+    name of it, or an attribute of a name bound to its module.  An
+    attribute of anything else, such as a prediction's diameter, is not
+    a reference."""
+    tree, modules, lines = ast.parse(source), {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            leaf = (node.module or "").split(".")[-1]
+            for a in node.names:
+                if a.name in SEARCHES:
+                    modules[a.asname or a.name] = a.name
+                elif a.name in SEARCHES.get(leaf, ()):
+                    lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                leaf = a.name.split(".")[-1]
+                if a.asname and leaf in SEARCHES:
+                    modules[a.asname] = leaf
+    searches = {name for names in SEARCHES.values() for name in names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in searches:
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.attr in SEARCHES.get(modules.get(node.value.id), ())):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_search_references_detected():
+    source = "\n".join([
+        "from . import metrics, topology as t",
+        "from .metrics import girth",
+        "import znhg.metrics as m",
+        "a = metrics.diameter(h)",
+        "b = t.hypergraph_planar(h)",
+        "c = m.is_star(h)",
+        "d = girth(h)",
+        "e = pred.diameter + pred.girth",
+        "f = metrics.check_diameter(h, 3, None, None)",
+        "g = t.is_planar(graph)",
+        "from .topology import incidence_graph",
+    ])
+    assert search_references(source) == [2, 4, 5, 6, 7, 10]
+
+
+def test_verify_reaches_no_search():
+    # the runtime tests see only the branches some n reaches; this also
+    # catches a fallback that no n in range takes
+    assert search_references((SRC / "verify.py").read_text()) == []

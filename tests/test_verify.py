@@ -105,36 +105,23 @@ def test_sweep_decides_every_host_tree_with_a_large_limit():
     assert r.total_findings == 0
 
 
-def test_proper_split_certifies_chromatic_two_without_search(monkeypatch):
-    from znhg import verify as v
-
-    def no_search(h):
-        raise AssertionError("chromatic backtracking called")
-
-    monkeypatch.setattr(v.metrics, "chromatic_number", no_search)
-    assert run_sweep(2, 400, ("chromatic",)).total_findings == 0
-    assert analyze(360).findings == []
-
-
-def test_improper_split_falls_back_to_search_and_is_reported(monkeypatch):
+def test_improper_split_is_an_uncertified_finding(monkeypatch):
+    # an improper A/B split proves nothing, so every n with an edge gets
+    # an "uncertified" chromatic number and no search runs
     from znhg import verify as v
 
     def improper(f, h):
         raise v.metrics.ColoringContradiction("forced")
 
-    real_chromatic = v.metrics.chromatic_number
-    searched = []
-
-    def recording_chromatic(h):
-        searched.append(h)
-        return real_chromatic(h)
-
     monkeypatch.setattr(v.metrics, "constructive_two_coloring", improper)
-    monkeypatch.setattr(v.metrics, "chromatic_number", recording_chromatic)
-    r = run_sweep(30, 30, ("chromatic",))
-    assert [(f.n, f.check, f.computed) for f in r.findings] == [
-        (30, "chromatic", "2 (A/B split improper)")]
-    assert len(searched) == 1
+    r = run_sweep(2, 200, ("chromatic",))
+    assert [(f.n, f.check, f.computed, f.predicted) for f in r.findings] == [
+        (f.n, "chromatic", "uncertified", "2")
+        for f in factorize_range(2, 200) if f.omega >= 2]
+    report = analyze(30)
+    assert report.findings == ["chromatic"]
+    assert report.computed["chromatic"] == "uncertified"
+    assert report.computed["two_coloring_proper"] is False
 
 
 def test_z_n_path_runs_no_isomorphism_search(monkeypatch):
@@ -187,43 +174,47 @@ def test_computed_disagreement_reported_by_analyze_and_sweep(monkeypatch):
         (30, "diameter", "99", "3")]
 
 
-def test_no_diameter_girth_or_star_search_for_n_up_to_5000(monkeypatch):
-    # every n with omega >= 2 gets a certificate its checker accepts
-    from znhg import metrics
+def test_no_search_for_n_up_to_5000(monkeypatch):
+    # every n gets certificates its checkers accept, so no check reports
+    # "uncertified", and none of the searches runs
+    from znhg import metrics, topology
 
-    def searched(h):
+    def searched(*args):
         raise AssertionError("searched instead of certified")
 
-    for name in ("diameter", "girth", "is_star"):
+    for name in ("diameter", "girth", "is_star", "chromatic_number"):
         monkeypatch.setattr(metrics, name, searched)
-    r = run_sweep(2, 5000, ("diameter", "girth", "star"))
+    for name in ("is_planar", "hypergraph_planar", "_minimal_nonplanar_core"):
+        monkeypatch.setattr(topology, name, searched)
+    r = run_sweep(2, 5000, ALL_CHECKS)
     assert r.total_findings == 0
-    assert r.compared["diameter"] == len(
+    assert r.compared["diameter"] == r.compared["planarity"] == len(
         [f for f in factorize_range(2, 5000) if f.omega >= 2])
-    assert analyze(2**3 * 3**3 * 5 * 7).findings == []
+    assert analyze(360).findings == []
+    r = analyze(2**3 * 3**3 * 5 * 7)
+    assert r.findings == []
+    assert r.computed["planar"] is False
 
 
-def test_rejected_certificates_fall_back_to_search(monkeypatch, builds5000):
+def test_rejected_certificates_are_uncertified_findings(monkeypatch):
+    # a checker that rejects every certificate leaves no value to report
     from znhg import classify, metrics
-    from znhg import verify as v
 
-    expected = {n: (metrics.diameter(h), metrics.girth(h), metrics.is_star(h))
-                for n, (f, h) in builds5000.items() if n <= 500 and f.omega >= 2}
-    sweep = run_sweep(2, 500, ("diameter", "girth", "star"))
-    searches = []
-    for name in ("diameter", "girth", "is_star"):
-        real = getattr(metrics, name)
-        monkeypatch.setattr(metrics, name, lambda h, real=real, name=name: (
-            searches.append(name), real(h))[1])
     for name in ("check_diameter", "check_girth", "check_star"):
         monkeypatch.setattr(metrics, name, lambda h, *certificate: False)
-    for n, values in expected.items():
-        f, h = builds5000[n]
-        _, facts = v._evaluate(f, h, classify.predict(f),
-                               ("diameter", "girth", "star"), 9)
-        assert (facts["diameter"], facts["girth"], facts["star"]) == values, n
-    assert searches == ["diameter", "girth", "is_star"] * len(expected)
-    assert run_sweep(2, 500, ("diameter", "girth", "star")) == sweep
+    r = run_sweep(2, 500, ("diameter", "girth", "star"))
+    expected = []
+    for f in factorize_range(2, 500):
+        if f.omega >= 2:
+            pred = classify.predict(f)
+            expected += [
+                (f.n, "diameter", "uncertified", str(pred.diameter)),
+                (f.n, "girth", "uncertified",
+                 "infinite" if pred.girth == math.inf else str(pred.girth)),
+                (f.n, "star", "uncertified", str(pred.star))]
+    assert [(f.n, f.check, f.computed, f.predicted)
+            for f in r.findings] == expected
+    assert r.total_findings == 1155
 
 
 def test_run_sweep_bounds_jobs(monkeypatch):
@@ -310,74 +301,36 @@ def test_lifted_witness_exists_exactly_for_nonplanar_patterns(builds5000):
     assert lifted == 812
 
 
-def _drop_last_edge(real):
-    def truncated(base):
-        kind, edges = real(base)
-        return kind, edges[:-1]
-    return truncated
+def _planarity_findings(lo, hi):
+    r = run_sweep(lo, hi, ("planarity",))
+    assert {f.computed for f in r.findings} <= {"uncertified"}
+    return [f.n for f in r.findings]
 
 
 @pytest.mark.parametrize("breakage", ["identity map", "truncated witness"])
-def test_broken_lift_falls_back_to_bisection(monkeypatch, breakage):
+def test_broken_lift_is_an_uncertified_finding(monkeypatch, builds5000,
+                                               breakage):
     # a refused lift (an image not found, or a witness the Kuratowski
-    # check rejects) falls back to the bisection with unchanged output; the
-    # first sweep also finds the four base witnesses, so every bisection
-    # counted below is a fallback
-    from znhg import topology
+    # check rejects) leaves n without a certificate, and n is reported
+    from znhg import classify
     from znhg import verify as v
-    from znhg.verify import sweep_to_json
 
-    expected = sweep_to_json(run_sweep(2, 1000, ("planarity",)))
     if breakage == "identity map":
         monkeypatch.setattr(v, "_lift_vertex", lambda r, *shift: tuple(r))
     else:
-        monkeypatch.setattr(v, "_base_witness", _drop_last_edge(v._base_witness))
-    refused, rejected, bisections = [], [], []
-    real_lift = v._lifted_planarity
-    real_check = topology.verify_kuratowski_witness
-    real_core = topology._minimal_nonplanar_core
-
-    def lift(f, h):
-        res = real_lift(f, h)
-        if res is None and v._dominated_base(f.exponents):
-            refused.append(f.n)
-        return res
-
-    def check(host, witness):
-        kind = real_check(host, witness)
-        if kind is None:
-            rejected.append(witness)
-        return kind
-
-    def core(vertex_count, edges):
-        bisections.append(vertex_count)
-        return real_core(vertex_count, edges)
-
-    monkeypatch.setattr(v, "_lifted_planarity", lift)
-    monkeypatch.setattr(topology, "verify_kuratowski_witness", check)
-    monkeypatch.setattr(topology, "_minimal_nonplanar_core", core)
-    assert sweep_to_json(run_sweep(2, 1000, ("planarity",))) == expected
-    assert refused and len(bisections) == len(refused)
+        for base, (kind, edges) in list(v._BASE_WITNESSES.items()):
+            monkeypatch.setitem(v._BASE_WITNESSES, base, (kind, edges[:-1]))
+    refused = [n for n, (f, h) in builds5000.items() if n <= 1000
+               and v._dominated_base(f.exponents)
+               and v._lifted_planarity(f, h) is None]
+    assert _planarity_findings(2, 1000) == refused
+    nonplanar = [n for n, (f, _) in builds5000.items() if n <= 1000
+                 and f.omega >= 2 and not classify.predict(f).planar]
     if breakage == "truncated witness":
         # every image is found, so the Kuratowski check is what refuses
-        assert len(rejected) == len(refused) == 89
-
-
-def test_no_bisection_for_an_n_that_dominates_a_base(monkeypatch):
-    from znhg import topology
-    from znhg import verify as v
-
-    for base in v._PLANARITY_BASES:
-        v._base_witness(base)
-
-    def no_bisection(vertex_count, edges):
-        raise AssertionError("bisection ran")
-
-    monkeypatch.setattr(topology, "_minimal_nonplanar_core", no_bisection)
-    assert run_sweep(2, 5000, ("planarity",)).total_findings == 0
-    r = analyze(2**3 * 3**3 * 5 * 7)
-    assert r.findings == []
-    assert r.computed["planar"] is False
+        assert refused == nonplanar and len(refused) == 89
+    else:
+        assert set(refused) < set(nonplanar) and len(refused) == 42
 
 
 def test_constructed_embedding_exists_exactly_for_planar_patterns(builds5000):
@@ -424,16 +377,15 @@ def _break_at_branch_node(real, which, damage):
     (1, lambda order: (order[1], order[0]) + order[2:]),
 ], ids=["truncated at the first branch node",
         "two paths swapped at the second branch node"])
-def test_broken_embedding_falls_back_to_lr(monkeypatch, which, damage):
-    # a rotation the check rejects falls back to the generic LR path with
-    # unchanged output, on exactly the n whose incidence graph has a
-    # theta: (2, b >= 3), the graph K_{2,b}, and (2, 1, 1).  Truncation
-    # fails the neighbourhood check; with three or more paths, a swap at
-    # one end of the theta draws it with a crossing, which fails Euler
+def test_broken_embedding_is_an_uncertified_finding(monkeypatch, which,
+                                                    damage):
+    # a rotation the check rejects leaves n without a certificate, and n
+    # is reported, on exactly the n whose incidence graph has a theta:
+    # (2, b >= 3), the graph K_{2,b}, and (2, 1, 1).  Truncation fails
+    # the neighbourhood check; with three or more paths, a swap at one
+    # end of the theta draws it with a crossing, which fails Euler
     from znhg import topology
-    from znhg.verify import sweep_to_json
 
-    expected = sweep_to_json(run_sweep(2, 1000, ("planarity",)))
     monkeypatch.setattr(topology, "theta_rotation", _break_at_branch_node(
         topology.theta_rotation, which, damage))
 
@@ -442,15 +394,5 @@ def test_broken_embedding_falls_back_to_lr(monkeypatch, which, damage):
         return (pattern == (2, 1, 1)
                 or f.omega == 2 and min(f.exponents) == 2 < max(f.exponents))
 
-    fallbacks = []
-    real_planar = topology.hypergraph_planar
-
-    def counted(h):
-        res = real_planar(h)
-        fallbacks.append(res.planar)
-        return res
-
-    monkeypatch.setattr(topology, "hypergraph_planar", counted)
-    assert sweep_to_json(run_sweep(2, 1000, ("planarity",))) == expected
-    want = sum(1 for f in factorize_range(2, 1000) if broken(f))
-    assert want > 0 and fallbacks == [True] * want
+    want = [f.n for f in factorize_range(2, 1000) if broken(f)]
+    assert _planarity_findings(2, 1000) == want and len(want) == 94
