@@ -105,6 +105,17 @@ def test_sweep_decides_every_host_tree_with_a_large_limit():
     assert r.total_findings == 0
 
 
+def test_proper_split_certifies_chromatic_two_without_search(monkeypatch):
+    from znhg import verify as v
+
+    def no_search(h):
+        raise AssertionError("chromatic backtracking called")
+
+    monkeypatch.setattr(v.metrics, "chromatic_number", no_search)
+    assert run_sweep(2, 5000, ("chromatic",)).total_findings == 0
+    assert analyze(360).findings == []
+
+
 def test_improper_split_is_an_uncertified_finding(monkeypatch):
     # an improper A/B split proves nothing, so every n with an edge gets
     # an "uncertified" chromatic number and no search runs
@@ -174,26 +185,20 @@ def test_computed_disagreement_reported_by_analyze_and_sweep(monkeypatch):
         (30, "diameter", "99", "3")]
 
 
-def test_no_search_for_n_up_to_5000(monkeypatch):
-    # every n gets certificates its checkers accept, so no check reports
-    # "uncertified", and none of the searches runs
-    from znhg import metrics, topology
+def test_no_diameter_girth_or_star_search_for_n_up_to_5000(monkeypatch):
+    # every n with omega >= 2 gets a certificate its checker accepts
+    from znhg import metrics
 
-    def searched(*args):
+    def searched(h):
         raise AssertionError("searched instead of certified")
 
-    for name in ("diameter", "girth", "is_star", "chromatic_number"):
+    for name in ("diameter", "girth", "is_star"):
         monkeypatch.setattr(metrics, name, searched)
-    for name in ("is_planar", "hypergraph_planar", "_minimal_nonplanar_core"):
-        monkeypatch.setattr(topology, name, searched)
-    r = run_sweep(2, 5000, ALL_CHECKS)
+    r = run_sweep(2, 5000, ("diameter", "girth", "star"))
     assert r.total_findings == 0
-    assert r.compared["diameter"] == r.compared["planarity"] == len(
+    assert r.compared["diameter"] == len(
         [f for f in factorize_range(2, 5000) if f.omega >= 2])
-    assert analyze(360).findings == []
-    r = analyze(2**3 * 3**3 * 5 * 7)
-    assert r.findings == []
-    assert r.computed["planar"] is False
+    assert analyze(2**3 * 3**3 * 5 * 7).findings == []
 
 
 def test_rejected_certificates_are_uncertified_findings(monkeypatch):
@@ -331,6 +336,26 @@ def test_broken_lift_is_an_uncertified_finding(monkeypatch, builds5000,
         assert refused == nonplanar and len(refused) == 89
     else:
         assert set(refused) < set(nonplanar) and len(refused) == 42
+
+
+def test_no_bisection_for_an_n_that_dominates_a_base(monkeypatch):
+    # every nonplanar n lifts a stored base witness and every planar n
+    # gets a constructed embedding, so neither the LR test nor the
+    # bisection runs
+    from znhg import topology
+
+    def searched(*args):
+        raise AssertionError("searched instead of certified")
+
+    for name in ("is_planar", "hypergraph_planar", "_minimal_nonplanar_core"):
+        monkeypatch.setattr(topology, name, searched)
+    r = run_sweep(2, 5000, ("planarity",))
+    assert r.total_findings == 0
+    assert r.compared["planarity"] == len(
+        [f for f in factorize_range(2, 5000) if f.omega >= 2])
+    r = analyze(2**3 * 3**3 * 5 * 7)
+    assert r.findings == []
+    assert r.computed["planar"] is False
 
 
 def test_constructed_embedding_exists_exactly_for_planar_patterns(builds5000):
