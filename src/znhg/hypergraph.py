@@ -22,11 +22,15 @@ mask class have the same neighbours and are never compatible with each
 other.  So the hyperedges are the maximal cliques of the graph on the at
 most 2^omega - 2 mask classes, enumerated with pivoted Bron-Kerbosch over
 bitmasks, each expanded into one vertex per class in every way and
-re-sorted into a canonical form.
+re-sorted into a canonical form.  The class cliques depend on the set of
+masks alone, so they are enumerated once per mask set and cached.  For
+Z_n every mask of 0 < mask < 2^omega - 1 occurs in both hypergraphs, so
+that is one enumeration per omega, shared by both builders.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 from math import comb, gcd, lcm, prod
@@ -258,6 +262,17 @@ def check_buildable(f: Factorization) -> None:
                 f"is limited to {limit}")
 
 
+@functools.cache
+def _class_cliques(masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The maximal cliques of two or more classes of the disjointness
+    graph on the given distinct masks, as tuples of positions in masks.
+
+    Keyed by the masks themselves, so it is exact for any mask set.
+    """
+    return tuple(enumerate_maximal_edges(
+        len(masks), lambda a, b: not masks[a] & masks[b]))
+
+
 def _build_on_mask_classes(pairs: list[tuple[int, int]]) -> Hypergraph:
     """The hypergraph of maximal families with pairwise disjoint masks,
     on (label, nonzero mask) pairs in ascending label order.
@@ -266,28 +281,18 @@ def _build_on_mask_classes(pairs: list[tuple[int, int]]) -> Hypergraph:
     class, and it is maximal iff its classes form a maximal clique of
     the class graph: a class extending the classes extends the family
     by any of its members.  Each maximal class clique is therefore the
-    product of its classes' member lists.
+    product of its classes' member lists.  The class cliques come from
+    _class_cliques, enumerated once per set of distinct masks.
     """
     members: dict[int, list[int]] = {}
     for i, (_, m) in enumerate(pairs):
         members.setdefault(m, []).append(i)
-    masks = list(members)
-    adj = [0] * len(masks)
-    for a, ma in enumerate(masks):
-        for b in range(a + 1, len(masks)):
-            if not ma & masks[b]:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    cliques: list[int] = []
-    if masks:
-        _bron_kerbosch_pivot(adj, 0, (1 << len(masks)) - 1, 0, cliques)
-    lists = list(members.values())
+    masks = tuple(sorted(members))
+    lists = [members[m] for m in masks]
     edges = []
-    for clique in cliques:
-        classes = _mask_to_tuple(clique)
-        if len(classes) >= 2:
-            edges += [tuple(sorted(e))
-                      for e in product(*(lists[c] for c in classes))]
+    for classes in _class_cliques(masks):
+        edges += [tuple(sorted(e))
+                  for e in product(*(lists[c] for c in classes))]
     edges.sort()
     return Hypergraph(tuple(d for d, _ in pairs), tuple(edges))
 

@@ -543,6 +543,7 @@ def verify_isomorphism(h1: Hypergraph, h2: Hypergraph, mapping: dict) -> bool:
         return False
     if len(set(mapping.values())) != len(mapping):
         return False
-    image = {frozenset(mapping[lab] for lab in e) for e in h1.edge_label_sets()}
-    target = {frozenset(e) for e in h2.edge_label_sets()}
-    return image == target
+    index2 = {lab: i for i, lab in enumerate(h2.vertices)}
+    to2 = [index2[mapping[lab]] for lab in h1.vertices]
+    image = {frozenset(to2[i] for i in e) for e in h1.edges}
+    return image == set(map(frozenset, h2.edges))

@@ -14,6 +14,7 @@ import pytest
 from znhg.arith import CapabilityError, divisors, factorize, factorize_range
 from znhg.groups import Subgroup, cyclic, set_product, zn_subgroup_of_divisor
 from znhg.hypergraph import (MAX_HYPEREDGES, MAX_VERTICES, Hypergraph,
+                             _build_on_mask_classes, _class_cliques,
                              build_comaximal_hypergraph,
                              build_intersection_hypergraph, canonical_hypergraph,
                              check_buildable, comaximal, enumerate_maximal_edges,
@@ -21,6 +22,7 @@ from znhg.hypergraph import (MAX_HYPEREDGES, MAX_VERTICES, Hypergraph,
                              intersection_vertex_count, support_set,
                              trivially_intersects, vertex_set)
 from znhg.metrics import isomorphic
+from znhg.verify import ALL_CHECKS, run_sweep
 
 
 def brute_force_vertex_generators(f):
@@ -163,6 +165,31 @@ def test_mask_class_builders_match_pairwise_construction_to_2000(builds5000):
     for n in range(2, 2001):
         f, h = builds5000[n]
         assert (h, build_comaximal_hypergraph(f)) == pairwise_builds(f), n
+
+
+@pytest.mark.parametrize("masks", [
+    # six distinct masks of 4 bits: as many as omega = 3 has, as wide as
+    # omega = 4's
+    (12, 3, 5, 10, 3, 6, 9, 12, 5),
+    # two masks of 3 bits that meet, as many as omega = 2's disjoint two
+    (5, 3, 5),
+    (6, 1, 4, 1, 2, 6),
+])
+def test_class_cliques_are_keyed_on_the_masks_themselves(masks):
+    # the full mask sets of omega 2, 3 and 4 are cached first
+    for n in (6, 30, 210):
+        build_intersection_hypergraph(factorize(n))
+    labels = [10 * i for i in range(len(masks))]
+    expected = canonical_hypergraph(labels, enumerate_maximal_edges(
+        len(labels), lambda i, j: not masks[i] & masks[j]))
+    assert _build_on_mask_classes(list(zip(labels, masks))) == expected
+
+
+def test_class_clique_cache_holds_one_entry_per_omega():
+    # 2..7000 reaches omega 1..5; omega 1 builds on the empty mask set
+    _class_cliques.cache_clear()
+    run_sweep(2, 7000, [c for c in ALL_CHECKS if c != "planarity"])
+    assert _class_cliques.cache_info().currsize == 5
 
 
 def test_enumerate_maximal_edges_complete_triple():

@@ -10,7 +10,7 @@ from itertools import combinations, product
 
 import pytest
 
-from znhg.arith import factorize
+from znhg.arith import factorize, factorize_range
 from znhg.groups import build_hypergraphs_for_group, dihedral
 from znhg.hypergraph import Hypergraph, build_comaximal_hypergraph, build_intersection_hypergraph
 from znhg.metrics import (INFINITE, ColoringContradiction, check_diameter,
@@ -476,6 +476,27 @@ def test_verify_isomorphism_rejects_wrong_maps():
     keys = list(broken)
     broken[keys[0]], broken[keys[1]] = broken[keys[1]], broken[keys[0]]
     assert not verify_isomorphism(h, other, broken)
+    f = factorize(30)
+    h, co = build_intersection_hypergraph(f), build_comaximal_hypergraph(f)
+    dual = {d: f.n // d for d in h.vertices}
+    assert verify_isomorphism(h, co, dual)
+    assert not verify_isomorphism(h, co, {**dual, 2: 7})
+    assert not verify_isomorphism(h, co, {**dual, 2: dual[3]})
+    # onto every vertex of h2, so only the injectivity check refuses it
+    path = Hypergraph(("a", "b", "c"), ((0, 1), (1, 2)))
+    edge = Hypergraph(("x", "y"), ((0, 1),))
+    assert not verify_isomorphism(path, edge, {"a": "x", "b": "y", "c": "x"})
+
+
+def test_duality_map_is_accepted_and_a_dropped_hyperedge_refused_to_2000():
+    for f in factorize_range(2, 2000):
+        h, co = build_intersection_hypergraph(f), build_comaximal_hypergraph(f)
+        dual = {d: f.n // d for d in h.vertices}
+        assert verify_isomorphism(h, co, dual), f.n
+        if co.edges:
+            k = f.n % len(co.edges)
+            dropped = Hypergraph(co.vertices, co.edges[:k] + co.edges[k + 1:])
+            assert not verify_isomorphism(h, dropped, dual), f.n
 
 
 # --- randomized properties over arbitrary small hypergraphs -----------------
