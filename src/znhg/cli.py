@@ -2,11 +2,17 @@
 
 Exit codes: 0 when every verifiable field agrees with its prediction,
 2 when the run produced at least one finding, 1 on usage errors.
+
+main may be called any number of times in one process.  It builds the
+argument parser on its first call and reuses it after that; argparse
+keeps no state between parses and looks up sys.stdout, sys.stderr and
+the terminal width when it prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -32,6 +38,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="znhg",
                      description="Intersection/co-maximal hypergraphs of Z_n: "
@@ -143,13 +150,9 @@ def cmd_export(args) -> int:
         # targets serialize the incidence graph
         text = topology.to_dot(topology.incidence_graph(h))
     elif args.target == "hypergraph":
-        text = json.dumps({
-            "schema": SCHEMA,
-            "kind": "hypergraph",
-            "n": args.n,
-            "vertices": list(h.vertices),
-            "edges": [list(e) for e in h.edge_label_sets()],
-        }, indent=2, sort_keys=True) + "\n"
+        text = verify.json_with_label_arrays(
+            {"schema": SCHEMA, "kind": "hypergraph", "n": args.n},
+            h.vertices, h.edge_label_sets()) + "\n"
     else:
         g = topology.incidence_graph(h)
         text = json.dumps({

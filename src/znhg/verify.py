@@ -66,6 +66,31 @@ DEFAULT_HOST_TREE_LIMIT = 9
 UNCERTIFIED = "uncertified"
 
 
+def _json_array(items, indent: str) -> str:
+    """The already encoded items laid out as json.dumps(indent=2) lays
+    out a list whose closing bracket sits at indent."""
+    inner = "\n" + indent + "  "
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}\n{indent}]" if body else "[]"
+
+
+def json_with_label_arrays(doc: dict, vertices, edges) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) of doc with the top-level
+    keys "vertices" (distinct integers) and "edges" (lists of those
+    integers) added."""
+    parts = {key: json.dumps(value, indent=2, sort_keys=True)
+             .replace("\n", "\n  ") for key, value in doc.items()}
+    # written by hand: with indent, json.dumps runs CPython's pure-Python
+    # encoder, about 1 us per integer; each label is converted to decimal
+    # once, which for labels of hundreds of digits is most of the cost
+    text = {d: str(d) for d in vertices}
+    parts["vertices"] = _json_array(text.values(), "  ")
+    parts["edges"] = _json_array(
+        (_json_array(map(text.__getitem__, e), "    ") for e in edges), "  ")
+    return ("{\n" + ",\n".join(f"  {json.dumps(key)}: {parts[key]}"
+                                for key in sorted(parts)) + "\n}")
+
+
 def _encode(value):
     if value is math.inf or value == math.inf:
         return "infinite"
@@ -101,8 +126,6 @@ class AnalysisReport:
             "kind": "analysis",
             "n": self.n,
             "factorization": [list(pair) for pair in self.factors],
-            "vertices": list(self.vertices),
-            "edges": [list(e) for e in self.edges],
             "computed": {k: _encode(v) for k, v in sorted(self.computed.items())},
             "predicted": self.predicted.to_json_dict(),
             "agreement": {
@@ -116,7 +139,7 @@ class AnalysisReport:
                 **{f: "formula-only" for f in FORMULA_ONLY_FIELDS}},
             "host_tree_limit": self.host_tree_limit,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json_with_label_arrays(doc, self.vertices, self.edges)
 
     @staticmethod
     def from_json(text: str) -> "AnalysisReport":

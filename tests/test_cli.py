@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from znhg import cli, verify
+from znhg.arith import factorize
 from znhg.cli import main
+from znhg.hypergraph import build_intersection_hypergraph
 from znhg.verify import FieldComparison
 
 
@@ -110,7 +112,7 @@ def test_analyze_exit_2_on_finding(capsys, monkeypatch):
     assert "FINDINGS" in out
 
 
-def test_sweep_exit_2_on_finding(capsys, monkeypatch):
+def _diameter_3_reads_99(monkeypatch):
     real_diameter = verify._certified_diameter
 
     def wrong_diameter(f, h):
@@ -118,6 +120,10 @@ def test_sweep_exit_2_on_finding(capsys, monkeypatch):
         return 99 if value == 3 else value
 
     monkeypatch.setattr(verify, "_certified_diameter", wrong_diameter)
+
+
+def test_sweep_exit_2_on_finding(capsys, monkeypatch):
+    _diameter_3_reads_99(monkeypatch)
     code, out, _ = run(capsys, "sweep", "2", "40", "--checks", "diameter")
     assert code == 2
     assert "FINDING n=30 diameter: computed=99 predicted=3" in out
@@ -310,6 +316,20 @@ def test_export_json_empty(capsys):
     assert doc["vertices"] == [] and doc["edges"] == []
 
 
+@pytest.mark.parametrize("n", [360, 2310, 243])
+def test_export_json_hypergraph_bytes(capsys, n):
+    # the label arrays are written by hand; json.dumps is the reference
+    code, out, _ = run(capsys, "export", str(n), "--format", "json",
+                       "--target", "hypergraph")
+    h = build_intersection_hypergraph(factorize(n))
+    assert code == 0
+    assert out == json.dumps({
+        "schema": "znhg/1", "kind": "hypergraph", "n": n,
+        "vertices": list(h.vertices),
+        "edges": [list(e) for e in h.edge_label_sets()],
+    }, indent=2, sort_keys=True) + "\n"
+
+
 def test_export_json_incidence(capsys):
     code, out, _ = run(capsys, "export", "30", "--format", "json",
                        "--target", "incidence")
@@ -451,6 +471,76 @@ def test_random_argv_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue()
 
 
+# every kind of outcome main has: text and JSON reports, an empty
+# hypergraph, findings (every diameter of 3 is made 99), group and both
+# export formats, help, and each kind of refusal
+REPEATED_ARGV = [
+    (("analyze", "12"), 0),
+    (("analyze", "360", "--json"), 2),
+    (("analyze", "243", "--json"), 0),
+    (("sweep", "2", "40", "--checks", "diameter"), 2),
+    (("group", "dihedral", "4"), 0),
+    (("export", "30", "--format", "dot", "--target", "incidence"), 0),
+    (("export", "30", "--format", "json", "--target", "hypergraph"), 0),
+    (("analyze",), 1),
+    (("--help",), 0),
+    (("analyze", "--help"), 0),
+    (("frobnicate",), 1),
+    (("sweep", "2", "30", "--checks", "bogus"), 1),
+    (("sweep", "2", str(10**30)), 1),
+]
+
+
+def test_main_repeats_identically_in_one_process(capsys, monkeypatch):
+    _diameter_3_reads_99(monkeypatch)
+    passes = [[run(capsys, *argv) for argv, _ in REPEATED_ARGV]
+              for _ in range(2)]
+    assert passes[0] == passes[1]
+    assert [code for code, _, _ in passes[0]] == [
+        code for _, code in REPEATED_ARGV]
+    assert all(out or err for _, out, err in passes[0])
+
+
+def _fresh_python(source: str, *args: str) -> str:
+    """stdout of source run by a fresh interpreter that imports this
+    checkout's znhg."""
+    import znhg
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(znhg.__file__).parent.parent)]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", source, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+_PARSERS_BUILT = """
+import argparse, contextlib, io
+roots = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    if kwargs.get("prog") == "znhg":
+        roots.append(self)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from znhg import cli
+print(len(roots))
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["analyze", "6"], ["analyze", "6", "--json"],
+                 ["export", "6", "--format", "dot", "--target", "incidence"]):
+        assert cli.main(argv) == 0, argv
+print(len(roots))
+"""
+
+
+def test_parser_built_on_first_call_only():
+    # not at import, which every importer would pay, and not per call
+    assert _fresh_python(_PARSERS_BUILT).split() == ["0", "1"]
+
+
 _NO_NETWORKX = """
 import contextlib, io, sys
 from znhg import arith, cli, topology
@@ -471,14 +561,4 @@ print("networkx" in sys.modules)
 def test_planarity_on_z_n_never_imports_networkx(mode, imported):
     # a fresh interpreter, since this one may have imported networkx for
     # other tests; one call of the LR oracle shows that the probe sees it
-    import znhg
-
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(znhg.__file__).parent.parent)]
-        + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, "-c", _NO_NETWORKX, mode],
-                          capture_output=True, text=True, env=env,
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == imported
+    assert _fresh_python(_NO_NETWORKX, mode).strip() == imported

@@ -36,12 +36,24 @@ def test_analyze_rejects_small_n():
         analyze(1)
 
 
+def _assert_json_round_trips(r):
+    # to_json writes the label arrays by hand; json.dumps is the reference
+    text = r.to_json()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True), r.n
+    assert AnalysisReport.from_json(text) == r, r.n
+
+
 def test_report_json_round_trip():
-    # prime power, star, squarefree, nonplanar, genus-one, larger omega
-    for n in (8, 12, 30, 210, 216, 360, 1296):
-        r = analyze(n)
-        again = AnalysisReport.from_json(r.to_json())
-        assert again == r
+    # prime powers (empty arrays), stars, squarefree, nonplanar,
+    # genus-one and larger omega all occur below 2000
+    for n in range(2, 2001):
+        _assert_json_round_trips(analyze(n))
+
+
+def test_report_json_with_labels_above_a_million():
+    r = analyze(2 * 1000003 * 1000033)
+    assert sorted(r.vertices)[1] > 10**6
+    _assert_json_round_trips(r)
 
 
 def test_report_json_schema_field():
