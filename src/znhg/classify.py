@@ -5,10 +5,10 @@ exponents of n: the prime values themselves never matter, only how the
 exponents are distributed.  predict() is the "expected" side of the
 verification harness; the computed side lives in metrics/topology.
 
-genus_one and crosscap_one are formula-only fields: surface embeddings
-are not recomputed, so sweeps verify them property-wise (nonplanarity
-certificates, consistency with toroidal/projective) rather than by
-direct computation.
+genus_one, crosscap_one, toroidal and projective are formula-only
+fields: surface embeddings are not recomputed and no check reads these
+fields, so they are reported unverified until the surface-embedding
+claims are certified.
 """
 
 from __future__ import annotations

@@ -155,13 +155,10 @@ def cmd_export(args) -> int:
             h.vertices, h.edge_label_sets()) + "\n"
     else:
         g = topology.incidence_graph(h)
-        text = json.dumps({
-            "schema": SCHEMA,
-            "kind": "incidence",
-            "n": args.n,
-            "nodes": list(g.labels),
-            "links": [[g.labels[u], g.labels[v]] for u, v in g.sorted_edges()],
-        }, indent=2, sort_keys=True) + "\n"
+        text = verify.json_with_label_arrays(
+            {"schema": SCHEMA, "kind": "incidence", "n": args.n}, g.labels,
+            ((g.labels[u], g.labels[v]) for u, v in g.sorted_edges()),
+            ("nodes", "links")) + "\n"
     if args.output:
         try:
             with open(args.output, "w") as fh:

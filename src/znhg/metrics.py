@@ -4,10 +4,11 @@ Distance and diameter live on the primal graph (one primal edge = one
 hyperedge of path length).  Girth is half the shortest cycle of the
 bipartite incidence representation.  The weak chromatic number comes
 from exact backtracking, host trees from a maximum-weight spanning tree
-of co-membership counts, and isomorphism from pruned bijection search --
-all answers are exact, never heuristic.  The isomorphism search serves
-the group engine and the tests; the Z_n harness checks explicit maps
-with verify_isomorphism.
+of co-membership counts (verify_host_tree accepts a spanning tree iff
+each hyperedge e contains exactly |e| - 1 of its edges), and isomorphism
+from pruned bijection search -- all answers are exact, never heuristic.
+The isomorphism search serves the group engine and the tests; the Z_n
+harness checks explicit maps with verify_isomorphism.
 
 The Z_n harness also takes diameter, girth and star from witnesses that
 check_diameter, check_girth and check_star accept on the hypergraph
@@ -22,11 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Hashable
 
 from .arith import Factorization
 from .hypergraph import Hypergraph
-from .topology import SimpleGraph, simple_graph
+from .topology import SimpleGraph, connected_components, simple_graph
 
 INFINITE = math.inf
 
@@ -429,40 +431,21 @@ def has_host_tree(h: Hypergraph, search_limit: int = 9) -> HostTreeResult:
 
 
 def verify_host_tree(h: Hypergraph, tree: SimpleGraph) -> bool:
-    """Independent check: spanning, acyclic, connected, and every
-    hyperedge induces a connected subgraph."""
+    """Independent check: a spanning tree in which every hyperedge e
+    contains exactly |e| - 1 tree edges.
+
+    m - 1 edges and one component make a tree.  A vertex subset of a
+    tree induces a forest, and a forest on k vertices is connected iff
+    it has k - 1 edges.  The count looks up each pair of e in the tree's
+    edge set, O(|e|^2) lookups.
+    """
     m = len(h.vertices)
-    if tree.vertex_count != m:
+    if tree.vertex_count != m or tree.edge_count != max(m - 1, 0):
         return False
-    if m == 0:
-        return not tree.edges
-    if len(tree.edges) != m - 1:
+    if len(connected_components(tree)) > 1:
         return False
-    adj = tree.adjacency()
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != m:
-        return False  # disconnected (with m-1 edges this also means a cycle)
-    for e in h.edges:
-        inside = set(e)
-        start = e[0]
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in inside and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if comp != inside:
-            return False
-    return True
+    return all(sum(p in tree.edges for p in combinations(sorted(e), 2))
+               == len(e) - 1 for e in h.edges)
 
 
 def isomorphic(h1: Hypergraph, h2: Hypergraph):

@@ -3,8 +3,14 @@
 is_planar decides planarity by networkx's left-right (LR) test, and
 both kinds of certificate -- a rotation system for planar graphs, a
 Kuratowski subdivision for nonplanar ones -- are re-verified here by
-independent code.  is_planar verifies the certificate once, before
-returning, and raises if it fails, so callers never re-check it.
+independent code, each a transcription of its defining count.
+verify_rotation_system traces the faces once over the whole graph and
+accepts iff V - E + F + (isolated vertices) = 2 * (components).
+verify_kuratowski_witness contracts the degree-2 chains and compares the
+result with K5, or with the K33 whose sides are the base neighbours of
+one branch vertex and the other three.  is_planar verifies the
+certificate once, before returning, and raises if it fails, so callers
+never re-check it.
 
 hypergraph_planar is the generic path: it knows nothing of Z_n and
 extracts a Kuratowski witness by bisection.  theta_rotation, which knows
@@ -289,9 +295,13 @@ def count_faces(g: SimpleGraph, rotation) -> int:
 def verify_rotation_system(g: SimpleGraph, rotation) -> bool:
     """Check the rotation system certifies a sphere embedding.
 
-    Each rotation must permute the actual neighbourhood, and every
-    connected component must satisfy V - E + F = 2, faces counted by
-    orbit tracing (an isolated vertex contributes its single face).
+    Each rotation must permute the actual neighbourhood; then
+    V - E + F + (isolated vertices) must equal 2C, with F the faces
+    traced over the whole graph and C its component count.  Face orbits
+    never leave a component, and each component with an edge has
+    V - E + F = 2 - 2*genus <= 2 (an isolated vertex traces no face, so
+    the extra term brings it to 2), so the sum reaches 2C only when
+    every component is a sphere.
     """
     adj = g.adjacency()
     if len(rotation) != g.vertex_count:
@@ -299,17 +309,9 @@ def verify_rotation_system(g: SimpleGraph, rotation) -> bool:
     for v in range(g.vertex_count):
         if sorted(rotation[v]) != sorted(adj[v]):
             return False
-    for comp in connected_components(g):
-        comp_set = set(comp)
-        sub_edges = [(u, v) for u, v in g.edges if u in comp_set]
-        if not sub_edges:
-            continue  # isolated vertex: V=1, E=0, F=1
-        sub = simple_graph(g.vertex_count, sub_edges)
-        sub_rot = tuple(rotation[v] if v in comp_set else () for v in range(g.vertex_count))
-        faces = count_faces(sub, sub_rot)
-        if len(comp) - len(sub_edges) + faces != 2:
-            return False
-    return True
+    isolated = sum(1 for a in adj if not a)
+    return (g.vertex_count - g.edge_count + count_faces(g, rotation) + isolated
+            == 2 * len(connected_components(g)))
 
 
 def verify_kuratowski_witness(host: SimpleGraph, witness: SimpleGraph) -> str | None:
@@ -318,7 +320,11 @@ def verify_kuratowski_witness(host: SimpleGraph, witness: SimpleGraph) -> str | 
 
     Branch vertices must have degree 4 (K5, five of them) or 3 (K33, six
     of them); every other touched vertex has degree 2, and contracting
-    the degree-2 chains must reproduce K5 or K33 exactly.
+    the degree-2 chains must reproduce K5 or K33 exactly.  With no loop
+    and no parallel chain, each branch vertex has exactly three base
+    neighbours, so for K33 the base neighbours of the first branch
+    vertex are one side and the base edges must be the 9 pairs between
+    it and the other three branch vertices.
     """
     if witness.vertex_count != host.vertex_count:
         return None
@@ -344,11 +350,9 @@ def verify_kuratowski_witness(host: SimpleGraph, witness: SimpleGraph) -> str | 
         for first in adj[b]:
             prev, cur = b, first
             while cur not in branch_set:
+                # cur has degree 2, so one neighbour besides prev
                 seen_mid.add(cur)
-                nxts = [w for w in adj[cur] if w != prev]
-                if len(nxts) != 1:
-                    return None
-                prev, cur = cur, nxts[0]
+                prev, cur = cur, next(w for w in adj[cur] if w != prev)
             if cur == b:
                 return None  # chain loops back: not a subdivision
             if b < cur:
@@ -358,33 +362,13 @@ def verify_kuratowski_witness(host: SimpleGraph, witness: SimpleGraph) -> str | 
         return None  # stray degree-2 cycle not attached to any branch
     if len(base_edges) != len(set(base_edges)):
         return None  # two parallel chains between the same branch pair
-    base_edges = set(base_edges)
     if expect == "K5":
         want = {(u, v) for i, u in enumerate(branch) for v in branch[i + 1:]}
-        return "K5" if base_edges == want else None
-    # K33: contracted graph must be complete bipartite 3+3
-    if len(base_edges) != 9:
-        return None
-    side = {branch[0]: 0}
-    queue = [branch[0]]
-    nbr = {b: set() for b in branch}
-    for u, v in base_edges:
-        nbr[u].add(v)
-        nbr[v].add(u)
-    while queue:
-        u = queue.pop()
-        for w in nbr[u]:
-            if w not in side:
-                side[w] = 1 - side[u]
-                queue.append(w)
-            elif side[w] == side[u]:
-                return None
-    part0 = [b for b in branch if side.get(b) == 0]
-    part1 = [b for b in branch if side.get(b) == 1]
-    if len(part0) != 3 or len(part1) != 3:
-        return None
-    want = {(min(u, v), max(u, v)) for u in part0 for v in part1}
-    return "K33" if base_edges == want else None
+    else:
+        # branch is ascending, so each base edge at branch[0] starts there
+        side = {v for u, v in base_edges if u == branch[0]}
+        want = {(min(u, v), max(u, v)) for u in side for v in branch_set - side}
+    return expect if set(base_edges) == want else None
 
 
 def to_dot(g: SimpleGraph) -> str:

@@ -339,6 +339,15 @@ def test_export_json_incidence(capsys):
     assert len(doc["links"]) == 9
 
 
+@pytest.mark.parametrize("n", [30, 360, 2310, 243, 9699690])
+def test_export_json_incidence_bytes(capsys, n):
+    # the node and link arrays are written by hand as well
+    code, out, _ = run(capsys, "export", str(n), "--format", "json",
+                       "--target", "incidence")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_export_to_file(capsys, tmp_path):
     target = tmp_path / "out.dot"
     code, out, _ = run(capsys, "export", "6", "--format", "dot",

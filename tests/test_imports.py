@@ -181,6 +181,14 @@ def test_metrics_does_not_import_verify():
     assert imports_of((SRC / "metrics.py").read_text(), "verify") == []
 
 
+def test_topology_imports_neither_verify_nor_metrics():
+    # the planarity checkers stay independent of the code that builds
+    # their witnesses
+    source = (SRC / "topology.py").read_text()
+    assert imports_of(source, "verify") == []
+    assert imports_of(source, "metrics") == []
+
+
 SEARCHES = {"metrics": ("diameter", "girth", "is_star", "chromatic_number"),
             "topology": ("hypergraph_planar", "is_planar")}
 

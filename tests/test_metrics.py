@@ -408,6 +408,21 @@ def test_verify_host_tree_rejects_bad_trees():
     assert not verify_host_tree(h, simple_graph(m, []))
 
 
+def test_verify_host_tree_counts_the_tree_edges_inside_each_hyperedge():
+    # on the path 0-1-2 the hyperedge {0, 2} holds no tree edge, where a
+    # subtree on its 2 vertices needs 1
+    path = simple_graph(3, [(0, 1), (1, 2)])
+    assert not verify_host_tree(Hypergraph((0, 1, 2), ((0, 2), (1, 2))), path)
+    # on the path 0-1-2-3 the hyperedges {0, 1, 3} and {0, 2, 3} hold one
+    # tree edge each, where a subtree on 3 vertices needs 2
+    h = Hypergraph((0, 1, 2, 3), ((0, 1, 3), (0, 2, 3)))
+    assert not verify_host_tree(h, simple_graph(4, [(0, 1), (1, 2), (2, 3)]))
+    # a triangle beside the path 3-4-5 has m - 1 edges and holds every
+    # hyperedge's subtree, but is no tree
+    h = Hypergraph(tuple(range(6)), ((0, 1), (0, 2), (1, 2), (3, 4), (4, 5)))
+    assert not verify_host_tree(h, simple_graph(6, h.edges))
+
+
 # --- isomorphism -------------------------------------------------------------
 
 def test_isomorphic_examples():

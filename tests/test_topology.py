@@ -192,6 +192,31 @@ def test_face_count_euler_disconnected():
     assert len(connected_components(tri2)) == 2
 
 
+def test_rotation_verifier_counts_every_component():
+    # K4 on 0..3, a triangle on 4..6 and the isolated vertex 7.  Index
+    # order around K4 traces 2 faces (a torus), the other rotation 4 (a
+    # sphere); the triangle and the isolated vertex are spheres either way
+    g = simple_graph(8, list(combinations(range(4), 2)) + cycle([4, 5, 6]))
+    rest = ((5, 6), (4, 6), (4, 5), ())
+    torus = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+    sphere = ((1, 2, 3), (2, 0, 3), (0, 1, 3), (0, 2, 1))
+    assert not verify_rotation_system(g, torus + rest)
+    assert verify_rotation_system(g, sphere + rest)
+
+
+def test_kuratowski_verifier_reads_the_sides_off_the_contraction():
+    # triangular prism 0-1-2, 3-4-5 with rungs i -- i+3, the rung 2 -- 5
+    # subdivided by 6: six cubic branch vertices and 9 base edges, but
+    # the triangles make it not bipartite
+    prism = simple_graph(7, cycle([0, 1, 2]) + cycle([3, 4, 5])
+                         + [(0, 3), (1, 4), (2, 6), (6, 5)])
+    assert verify_kuratowski_witness(prism, prism) is None
+    # K33 with sides {0, 2, 4} and {1, 3, 5}, the edge 4 -- 5 subdivided
+    interleaved = simple_graph(7, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)
+                                   if (u, v) != (4, 5)] + [(4, 6), (6, 5)])
+    assert verify_kuratowski_witness(interleaved, interleaved) == "K33"
+
+
 def test_shortest_cycle_length():
     c5 = simple_graph(5, [(i, (i + 1) % 5) for i in range(5)])
     assert shortest_cycle_length(c5) == 5
