@@ -155,9 +155,10 @@ def cmd_export(args) -> int:
             h.vertices, h.edge_label_sets()) + "\n"
     else:
         g = topology.incidence_graph(h)
+        labels = [json.dumps(lab) for lab in g.labels]
         text = verify.json_with_label_arrays(
-            {"schema": SCHEMA, "kind": "incidence", "n": args.n}, g.labels,
-            ((g.labels[u], g.labels[v]) for u, v in g.sorted_edges()),
+            {"schema": SCHEMA, "kind": "incidence", "n": args.n}, labels,
+            ((labels[u], labels[v]) for u, v in g.sorted_edges()),
             ("nodes", "links")) + "\n"
     if args.output:
         try:

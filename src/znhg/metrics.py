@@ -4,11 +4,10 @@ Distance and diameter live on the primal graph (one primal edge = one
 hyperedge of path length).  Girth is half the shortest cycle of the
 bipartite incidence representation.  The weak chromatic number comes
 from exact backtracking, host trees from a maximum-weight spanning tree
-of co-membership counts (verify_host_tree accepts a spanning tree iff
-each hyperedge e contains exactly |e| - 1 of its edges), and isomorphism
-from pruned bijection search -- all answers are exact, never heuristic.
-The isomorphism search serves the group engine and the tests; the Z_n
-harness checks explicit maps with verify_isomorphism.
+of co-membership counts, and isomorphism from pruned bijection search --
+all answers are exact, never heuristic.  The isomorphism search serves
+the group engine and the tests; the Z_n harness checks explicit maps
+with verify_isomorphism.
 
 The Z_n harness also takes diameter, girth and star from witnesses that
 check_diameter, check_girth and check_star accept on the hypergraph
@@ -28,7 +27,7 @@ from typing import Hashable
 
 from .arith import Factorization
 from .hypergraph import Hypergraph
-from .topology import SimpleGraph, connected_components, simple_graph
+from .topology import SimpleGraph, simple_graph
 
 INFINITE = math.inf
 
@@ -434,16 +433,23 @@ def verify_host_tree(h: Hypergraph, tree: SimpleGraph) -> bool:
     """Independent check: a spanning tree in which every hyperedge e
     contains exactly |e| - 1 tree edges.
 
-    m - 1 edges and one component make a tree.  A vertex subset of a
-    tree induces a forest, and a forest on k vertices is connected iff
-    it has k - 1 edges.  The count looks up each pair of e in the tree's
-    edge set, O(|e|^2) lookups.
+    m - 1 edges of which none closes a cycle make a tree; union-find
+    tells.  A vertex subset of a tree induces a forest, and a forest on
+    k vertices is connected iff it has k - 1 edges.  The count looks up
+    each pair of e in the tree's edge set, O(|e|^2) lookups.
     """
     m = len(h.vertices)
     if tree.vertex_count != m or tree.edge_count != max(m - 1, 0):
         return False
-    if len(connected_components(tree)) > 1:
-        return False
+    root = list(range(m))
+    for u, v in tree.edges:
+        while root[u] != u:
+            root[u] = u = root[root[u]]  # path halving
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u == v:
+            return False
+        root[u] = v
     return all(sum(p in tree.edges for p in combinations(sorted(e), 2))
                == len(e) - 1 for e in h.edges)
 

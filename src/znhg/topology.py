@@ -3,14 +3,8 @@
 is_planar decides planarity by networkx's left-right (LR) test, and
 both kinds of certificate -- a rotation system for planar graphs, a
 Kuratowski subdivision for nonplanar ones -- are re-verified here by
-independent code, each a transcription of its defining count.
-verify_rotation_system traces the faces once over the whole graph and
-accepts iff V - E + F + (isolated vertices) = 2 * (components).
-verify_kuratowski_witness contracts the degree-2 chains and compares the
-result with K5, or with the K33 whose sides are the base neighbours of
-one branch vertex and the other three.  is_planar verifies the
-certificate once, before returning, and raises if it fails, so callers
-never re-check it.
+independent code.  is_planar verifies the certificate once, before
+returning, and raises if it fails, so callers never re-check it.
 
 hypergraph_planar is the generic path: it knows nothing of Z_n and
 extracts a Kuratowski witness by bisection.  theta_rotation, which knows

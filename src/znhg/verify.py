@@ -78,13 +78,14 @@ def json_with_label_arrays(doc: dict, vertices, edges,
                            keys=("vertices", "edges")) -> str:
     """json.dumps(doc, indent=2, sort_keys=True) of doc with two top-level
     keys added: keys[0] lists the distinct labels in vertices, keys[1]
-    the label sequences in edges."""
+    the label sequences in edges.  Labels are integers, or strings that
+    are already JSON-encoded."""
     parts = {key: json.dumps(value, indent=2, sort_keys=True)
              .replace("\n", "\n  ") for key, value in doc.items()}
     # written by hand: with indent, json.dumps runs CPython's pure-Python
-    # encoder, about 1 us per item; each label is encoded once, which for
-    # integer labels of hundreds of digits is most of the cost
-    text = {d: json.dumps(d) for d in vertices}
+    # encoder, about 1 us per integer; each label is converted to decimal
+    # once, which for labels of hundreds of digits is most of the cost
+    text = {d: str(d) for d in vertices}
     parts[keys[0]] = _json_array(text.values(), "  ")
     parts[keys[1]] = _json_array(
         (_json_array(map(text.__getitem__, e), "    ") for e in edges), "  ")
