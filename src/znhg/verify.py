@@ -11,6 +11,17 @@ runs every sweep check except iso.
 No isomorphism is searched for.  The iso check verifies the explicit
 map d -> n/d, exact because gcd(n/d, n/d') = n/lcm(d, d').
 
+A sweep evaluates each exponent pattern once.  Its ascending pass fixes
+n0, the first n of the range with each sorted pattern; n0 and every
+prime power go through _evaluate.  Every later n of the pattern builds
+its own hypergraph h and takes n0's rows, iso aside, once
+metrics.verify_isomorphism accepts the prime relabelling sigma from h0
+onto h.  Each carried value is then certified by n0's checked
+certificate plus a checked isomorphism, and a refused sigma makes each
+carried row "uncertified".  A defect that depends on the primes
+themselves, not on the pattern alone, shows only where its n is
+evaluated: in analyze, or in a sweep that starts at that n.
+
 Nor is planarity searched for.  Two vertices are compatible iff their
 deficiency sets {i : r_i < alpha_i}, the masks of
 hypergraph.vertex_set, are disjoint, and the shift
@@ -47,6 +58,7 @@ and topology serve the tests as independent oracles.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import multiprocessing
@@ -64,6 +76,10 @@ ALL_CHECKS = ("diameter", "girth", "chromatic", "star", "hypertree",
               "planarity", "single-edge", "emptiness", "iso")
 DEFAULT_HOST_TREE_LIMIT = 9
 UNCERTIFIED = "uncertified"
+# values of n per task under jobs > 1; each task evaluates once every
+# pattern it meets, so larger blocks repeat fewer evaluations and smaller
+# ones spread the work more evenly
+_BLOCK = 4096
 
 
 def _json_array(items, indent: str) -> str:
@@ -342,7 +358,7 @@ _BASE_WITNESSES = {
 def _by_exponent(exponents: tuple[int, ...]) -> list[int]:
     """Indices of n's primes by descending exponent, ties in prime order:
     the order in which the coordinates of _BASE_WITNESSES' labels list
-    them."""
+    them, and in which _relabelling pairs the primes of two n."""
     return sorted(range(len(exponents)), key=lambda i: -exponents[i])
 
 
@@ -525,6 +541,23 @@ def _certified_star(h: Hypergraph):
     return _certified(h, _star_certificate(h), metrics.check_star)
 
 
+def _row(check, fld, computed, predicted, computed_text=None,
+         predicted_text=None) -> tuple:
+    """A row as _evaluate returns it."""
+    return (check, fld, computed, predicted, bool(computed == predicted),
+            str(_encode(computed)) if computed_text is None else computed_text,
+            str(_encode(predicted)) if predicted_text is None else predicted_text)
+
+
+def _iso_row(f: Factorization, h: Hypergraph) -> tuple:
+    """The iso row: d -> n/d checked from h onto n's co-maximal hypergraph."""
+    co = build_comaximal_hypergraph(f)
+    ok = metrics.verify_isomorphism(h, co, {d: f.n // d for d in h.vertices})
+    return _row("iso", "iso", ok, True,
+                computed_text="isomorphic" if ok else "NOT isomorphic",
+                predicted_text="isomorphic")
+
+
 def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
               checks, host_tree_limit: int) -> tuple[list, dict]:
     """Run the selected checks on h against the prediction for n.
@@ -539,12 +572,8 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
     facts = {"is_empty": h.is_empty, "vertex_count": len(h.vertices),
              "edge_count": len(h.edges), "single_edge": len(h.edges) == 1}
 
-    def compare(check, fld, computed, predicted, computed_text=None,
-                predicted_text=None):
-        rows.append((
-            check, fld, computed, predicted, bool(computed == predicted),
-            str(_encode(computed)) if computed_text is None else computed_text,
-            str(_encode(predicted)) if predicted_text is None else predicted_text))
+    def compare(*row, **texts):
+        rows.append(_row(*row, **texts))
 
     if "emptiness" in checks:
         compare("emptiness", "is_empty", h.is_empty, pred.is_empty)
@@ -588,19 +617,78 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
         facts["planarity_certificate_valid"] = res is not None
         compare("planarity", "planar", facts["planar"], pred.planar)
     if "iso" in checks:
-        co = build_comaximal_hypergraph(f)
-        ok = metrics.verify_isomorphism(h, co, {d: f.n // d for d in h.vertices})
-        compare("iso", "iso", ok, True,
-                computed_text="isomorphic" if ok else "NOT isomorphic",
-                predicted_text="isomorphic")
+        rows.append(_iso_row(f, h))
     return rows, facts
 
 
-def _sweep_one(n: int, checks, host_tree_limit: int) -> tuple[int, list, int]:
-    f = factorize(n)
-    rows, facts = _evaluate(f, build_intersection_hypergraph(f),
-                            classify.predict(f), checks, host_tree_limit)
-    return n, rows, int(facts.get("host_tree") == "unknown")
+def _sweep_one(f: Factorization, h: Hypergraph, checks,
+               host_tree_limit: int) -> tuple[int, list, int]:
+    """The per-n outcome (n, rows, 1 if the host tree is unknown else 0)."""
+    rows, facts = _evaluate(f, h, classify.predict(f), checks, host_tree_limit)
+    return f.n, rows, int(facts.get("host_tree") == "unknown")
+
+
+def _relabelling(f0: Factorization, h0: Hypergraph, f: Factorization) -> dict:
+    """sigma on h0's labels: the i-th prime of n0 goes to the i-th prime
+    of n, both in _by_exponent order, and a divisor goes where its prime
+    powers go."""
+    sigma = {1: 1}
+    for i, j in zip(_by_exponent(f0.exponents), _by_exponent(f.exponents)):
+        (p, a), (q, _) = f0.factors[i], f.factors[j]
+        sigma = {d * p**k: e * q**k for d, e in sigma.items()
+                 for k in range(a + 1)}
+    return {d: sigma[d] for d in h0.vertices}
+
+
+def _carried(f: Factorization, h: Hypergraph, f0: Factorization,
+             h0: Hypergraph, outcome0, checks) -> tuple[int, list, int]:
+    """n's outcome from n0's: every row but iso, if verify_isomorphism
+    accepts the prime relabelling from h0 onto h, and otherwise each of
+    those rows with the computed value UNCERTIFIED; iso is n's own."""
+    _, rows0, unknown = outcome0
+    rows = [row for row in rows0 if row[0] != "iso"]
+    if not metrics.verify_isomorphism(h0, h, _relabelling(f0, h0, f)):
+        rows = [_row(check, fld, UNCERTIFIED, predicted, predicted_text=text)
+                for check, fld, _, predicted, _, _, text in rows]
+    if "iso" in checks:
+        rows.append(_iso_row(f, h))
+    return f.n, rows, unknown
+
+
+def _pattern_bases(lo: int, hi: int):
+    """(f, f0) for each n of lo..hi in ascending order, each n factored
+    once: f0 is the factorization of the first n of the range with n's
+    sorted exponent pattern, and f itself for a prime power."""
+    first: dict[tuple[int, ...], Factorization] = {}
+    for n in range(lo, hi + 1):
+        f = factorize(n)
+        yield f, (first.setdefault(tuple(sorted(f.exponents)), f)
+                  if f.omega >= 2 else f)
+
+
+def _sweep_pairs(pairs, checks, host_tree_limit: int):
+    """The outcome of each (f, f0) of pairs, in order.  n0 and each prime
+    power go through _sweep_one; a later n of n0's pattern is carried
+    from n0's outcome.  An n0 outside pairs is evaluated on first use,
+    to the same rows, so the outcomes do not depend on how the pairs of
+    a range are split."""
+    bases = {}
+    for f, f0 in pairs:
+        h = build_intersection_hypergraph(f)
+        if f0.n == f.n:
+            outcome = _sweep_one(f, h, checks, host_tree_limit)
+            if f.omega >= 2:
+                bases[f.n] = h, outcome
+            yield outcome
+            continue
+        if f0.n not in bases:
+            h0 = build_intersection_hypergraph(f0)
+            bases[f0.n] = h0, _sweep_one(f0, h0, checks, host_tree_limit)
+        yield _carried(f, h, f0, *bases[f0.n], checks)
+
+
+def _sweep_block(pairs, checks, host_tree_limit: int) -> list:
+    return list(_sweep_pairs(pairs, checks, host_tree_limit))
 
 
 def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
@@ -608,11 +696,19 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
               jobs: int = 1) -> SweepResult:
     """Run the selected computed-vs-predicted comparisons for lo..hi.
 
-    Each n is factored and evaluated on its own and folded into the
-    result as it arrives, in ascending n for every jobs value (jobs > 1
-    goes through Pool.imap, which keeps order), so output is
-    deterministic across concurrency levels and memory does not grow
-    with the range.  jobs above the CPU count are capped to it.
+    One ascending pass factors each n and fixes n0, the first n of the
+    range with n's sorted exponent pattern.  Each n0 and each prime power
+    is evaluated on its own.  Every later n of a pattern builds its own
+    hypergraph h and takes n0's rows, iso aside, once
+    metrics.verify_isomorphism accepts the prime relabelling from h0 onto
+    h; a refused relabelling makes each of those rows "uncertified", a
+    finding.  iso is checked on every n.  Outcomes are folded in
+    ascending n for every jobs value: jobs > 1 hands contiguous blocks of
+    the pass to Pool.imap, which keeps order, and a block that meets a
+    pattern whose n0 lies in an earlier block evaluates that n0 again, so
+    output is identical across concurrency levels.  Memory does not grow
+    with the range beyond the blocks in flight and one entry per pattern.
+    jobs above the CPU count are capped to it.
     """
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")
@@ -639,13 +735,15 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
                 if not agree:
                     result.findings.append(Finding(n, check, comp, predicted))
 
-    one = functools.partial(_sweep_one, checks=checks,
-                            host_tree_limit=host_tree_limit)
+    pairs = _pattern_bases(lo, hi)
     if jobs > 1:
+        block = functools.partial(_sweep_block, checks=checks,
+                                  host_tree_limit=host_tree_limit)
+        blocks = iter(lambda: list(itertools.islice(pairs, _BLOCK)), [])
         with multiprocessing.Pool(jobs) as pool:
-            fold(pool.imap(one, range(lo, hi + 1), chunksize=64))
+            fold(itertools.chain.from_iterable(pool.imap(block, blocks)))
     else:
-        fold(map(one, range(lo, hi + 1)))
+        fold(_sweep_pairs(pairs, checks, host_tree_limit))
     return result
 
 

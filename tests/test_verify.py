@@ -268,13 +268,23 @@ def test_run_sweep_bounds_jobs(monkeypatch):
     assert pools == [3, 2]
 
 
+def _first_of_pattern(fs) -> dict:
+    """n -> the first n of fs with its sorted exponent pattern, for each
+    n with two or more primes."""
+    first = {}
+    return {f.n: first.setdefault(tuple(sorted(f.exponents)), f.n)
+            for f in fs if f.omega >= 2}
+
+
 def test_sweep_factors_each_n_where_it_evaluates_it(monkeypatch):
-    # factoring and evaluation alternate in ascending n, so no list of
-    # the range is built first, and a range past the limit is refused
-    # before anything is factored
+    # one ascending pass factors each n once, with no list of the range
+    # built first; _evaluate runs right after the first n of each
+    # pattern and after each prime power, and on no other n.  A range
+    # past the limit is refused before anything is factored
     from znhg import verify as v
     from znhg.arith import RANGE_LIMIT
 
+    firsts = _first_of_pattern(factorize_range(2, 60))
     events = []
     real_factorize, real_evaluate = v.factorize, v._evaluate
 
@@ -290,11 +300,113 @@ def test_sweep_factors_each_n_where_it_evaluates_it(monkeypatch):
     monkeypatch.setattr(v, "_evaluate", evaluate)
     run_sweep(2, 60, ("diameter", "emptiness"))
     assert events == [(kind, n) for n in range(2, 61)
-                      for kind in ("factor", "evaluate")]
+                      for kind in ("factor", "evaluate")
+                      if kind == "factor" or firsts.get(n, n) == n]
+    assert sum(kind == "evaluate" for kind, _ in events) == 32
     events.clear()
     with pytest.raises(ValueError, match="limited"):
         run_sweep(2, RANGE_LIMIT + 1, ("emptiness",))
     assert events == []
+
+
+def _per_n_sweep(builds, lo, hi, checks, host_tree_limit=9):
+    """run_sweep's result from the per-n reference path alone: every n
+    goes through _sweep_one on its own hypergraph."""
+    from znhg import verify as v
+
+    checks = tuple(c for c in ALL_CHECKS if c in checks)
+    result = v.SweepResult(lo, hi, checks, host_tree_limit,
+                           compared={c: 0 for c in checks})
+    for n in range(lo, hi + 1):
+        _, rows, unknown = v._sweep_one(*builds[n], checks, host_tree_limit)
+        result.hypertree_unknown += unknown
+        for check, _, _, _, agree, computed, predicted in rows:
+            result.compared[check] += 1
+            if not agree:
+                result.findings.append(v.Finding(n, check, computed, predicted))
+    return result
+
+
+@pytest.mark.parametrize("checks", [ALL_CHECKS, ("planarity",)],
+                         ids=["every check", "planarity"])
+def test_carried_sweep_matches_the_per_n_path(builds5000, checks):
+    # rows carried by a checked prime relabelling are the rows the per-n
+    # path computes; 2..5000 spans two blocks under jobs > 1
+    want = sweep_to_json(_per_n_sweep(builds5000, 2, 5000, checks))
+    for jobs in (1, 2):
+        assert sweep_to_json(run_sweep(2, 5000, checks, jobs=jobs)) == want
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_refused_relabelling_makes_each_carried_row_uncertified(
+        monkeypatch, builds5000, jobs):
+    # sigma = identity maps h0 onto itself, not onto n's hypergraph, so
+    # the check refuses it on every carried n; the rows of each n0 and of
+    # each prime power, and every iso row, stay as the per-n path has them
+    from znhg import verify as v
+
+    reference = _per_n_sweep(builds5000, 2, 1000, ALL_CHECKS)
+    assert reference.findings == []
+    firsts = _first_of_pattern(f for f, _ in builds5000.values())
+    want = []
+    for n in range(2, 1001):
+        if firsts.get(n, n) == n:
+            continue
+        _, rows, _ = v._sweep_one(*builds5000[n], ALL_CHECKS, 9)
+        want += [(n, check, "uncertified", predicted)
+                 for check, _, _, _, _, _, predicted in rows if check != "iso"]
+    monkeypatch.setattr(v, "_relabelling",
+                        lambda f0, h0, f: {d: d for d in h0.vertices})
+    r = run_sweep(2, 1000, ALL_CHECKS, jobs=jobs)
+    assert [(f.n, f.check, f.computed, f.predicted)
+            for f in r.findings] == want
+    assert {check for _, check, _, _ in want} == set(ALL_CHECKS) - {"iso"}
+    assert r.compared == reference.compared
+    assert r.hypertree_unknown == reference.hypertree_unknown
+
+
+def test_a_break_at_a_base_shows_on_every_later_n_of_its_pattern(monkeypatch):
+    # 30 is the first n of (1, 1, 1) in 2..1000, so every later (1, 1, 1)
+    # n carries its broken diameter, whichever block evaluates it; a
+    # range that starts past 30 takes another n0 and shows nothing
+    from znhg import verify as v
+
+    real_diameter = v._certified_diameter
+
+    def broken_at_30(f, h):
+        return 99 if f.n == 30 else real_diameter(f, h)
+
+    monkeypatch.setattr(v, "_certified_diameter", broken_at_30)
+    monkeypatch.setattr(v, "_BLOCK", 100)
+    want = [(f.n, "diameter", "99", "3") for f in factorize_range(30, 1000)
+            if f.exponents == (1, 1, 1)]
+    for jobs in (1, 2):
+        r = run_sweep(2, 1000, ("diameter",), jobs=jobs)
+        assert [(f.n, f.check, f.computed, f.predicted)
+                for f in r.findings] == want
+    assert len(want) == 135
+    assert run_sweep(31, 1000, ("diameter",)).findings == []
+
+
+def test_sweep_evaluates_each_pattern_once(monkeypatch):
+    # guards the carry against a silent fallback to the per-n path
+    from znhg import verify as v
+
+    fs = factorize_range(2, 5000)
+    evaluated = []
+    real_evaluate = v._evaluate
+
+    def evaluate(f, *args):
+        evaluated.append(f.n)
+        return real_evaluate(f, *args)
+
+    monkeypatch.setattr(v, "_evaluate", evaluate)
+    assert run_sweep(2, 5000, ("diameter", "emptiness")).total_findings == 0
+    patterns = {tuple(sorted(f.exponents)) for f in fs if f.omega >= 2}
+    prime_powers = [f.n for f in fs if f.omega == 1]
+    assert len(evaluated) == len(patterns) + len(prime_powers)
+    assert evaluated == sorted(set(_first_of_pattern(fs).values())
+                               | set(prime_powers))
 
 
 def test_lifted_witness_exists_exactly_for_nonplanar_patterns(builds5000):
@@ -319,8 +431,11 @@ def test_lifted_witness_exists_exactly_for_nonplanar_patterns(builds5000):
     assert lifted == 812
 
 
-def _planarity_findings(lo, hi):
-    r = run_sweep(lo, hi, ("planarity",))
+def _planarity_findings(lo, hi, builds=None):
+    """The n with a planarity finding, from run_sweep, or from the per-n
+    reference path when builds are given."""
+    r = (run_sweep(lo, hi, ("planarity",)) if builds is None
+         else _per_n_sweep(builds, lo, hi, ("planarity",)))
     assert {f.computed for f in r.findings} <= {"uncertified"}
     return [f.n for f in r.findings]
 
@@ -341,7 +456,15 @@ def test_broken_lift_is_an_uncertified_finding(monkeypatch, builds5000,
     refused = [n for n, (f, h) in builds5000.items() if n <= 1000
                and v._dominated_base(f.exponents)
                and v._lifted_planarity(f, h) is None]
-    assert _planarity_findings(2, 1000) == refused
+    assert _planarity_findings(2, 1000, builds5000) == refused
+    # a sweep evaluates only the first n of each pattern and carries its
+    # rows, so it reports n iff that n0 is refused; the identity map's
+    # break depends on how the exponents sit on the primes, so there the
+    # two differ
+    firsts = _first_of_pattern(f for f, _ in builds5000.values() if f.n <= 1000)
+    carried = [n for n, n0 in firsts.items() if n0 in refused]
+    assert _planarity_findings(2, 1000) == carried
+    assert (carried == refused) == (breakage == "truncated witness")
     nonplanar = [n for n, (f, _) in builds5000.items() if n <= 1000
                  and f.omega >= 2 and not classify.predict(f).planar]
     if breakage == "truncated witness":
