@@ -148,17 +148,17 @@ def cmd_export(args) -> int:
     if args.format == "dot":
         # a hypergraph's DOT form is its bipartite star expansion, so both
         # targets serialize the incidence graph
-        text = topology.to_dot(topology.incidence_graph(h))
+        text = topology.to_dot(h)
     elif args.target == "hypergraph":
         text = verify.json_with_label_arrays(
             {"schema": SCHEMA, "kind": "hypergraph", "n": args.n},
             h.vertices, h.edge_label_sets()) + "\n"
     else:
-        g = topology.incidence_graph(h)
-        labels = [json.dumps(lab) for lab in g.labels]
+        names = [json.dumps(name) for name in topology.incidence_names(h)]
         text = verify.json_with_label_arrays(
-            {"schema": SCHEMA, "kind": "incidence", "n": args.n}, labels,
-            ((labels[u], labels[v]) for u, v in g.sorted_edges()),
+            {"schema": SCHEMA, "kind": "incidence", "n": args.n}, names,
+            ((names[u], names[v])
+             for u, v in topology.incidence_graph(h).sorted_edges()),
             ("nodes", "links")) + "\n"
     if args.output:
         try:

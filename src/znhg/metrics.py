@@ -27,7 +27,7 @@ from typing import Hashable
 
 from .arith import Factorization
 from .hypergraph import Hypergraph
-from .topology import SimpleGraph, simple_graph
+from .topology import SimpleGraph, component_count, simple_graph
 
 INFINITE = math.inf
 
@@ -300,27 +300,6 @@ def check_diameter(h: Hypergraph, value, upper, lower) -> bool:
     return False
 
 
-def _incidence_forest(h: Hypergraph) -> bool:
-    """True iff the vertex/edge incidence graph has no cycle, by
-    union-find over its vertex and hyperedge nodes."""
-    nv = len(h.vertices)
-    parent = list(range(nv + len(h.edges)))
-
-    def root(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for j, e in enumerate(h.edges):
-        for v in e:
-            a, b = root(v), root(nv + j)
-            if a == b:
-                return False
-            parent[a] = b
-    return True
-
-
 def _two_coloured_four_cycle(h: Hypergraph, side, cycle) -> bool:
     """Every hyperedge has two vertices and no two are equal, so h is a
     simple graph; side holds exactly one end of each, so it has no odd
@@ -353,7 +332,12 @@ def check_girth(h: Hypergraph, value, witness) -> bool:
         return (j in edges and k in edges and j != k and u != v
                 and all(x in h.edges[j] and x in h.edges[k] for x in (u, v)))
     if value == INFINITE:
-        return _incidence_forest(h)
+        # a list, not a set: a hyperedge that lists a vertex twice gives
+        # a repeated pair, which closes a cycle
+        nv = len(h.vertices)
+        pairs = [(v, nv + j) for j, e in enumerate(h.edges) for v in e]
+        nodes = nv + len(h.edges)
+        return component_count(nodes, pairs) == nodes - len(pairs)
     if value == 4:
         return _two_coloured_four_cycle(h, *witness)
     return False
@@ -423,7 +407,7 @@ def has_host_tree(h: Hypergraph, search_limit: int = 9) -> HostTreeResult:
                 link[u] = v
     if total < sum(len(e) - 1 for e in h.edges):
         return HostTreeResult("no")
-    tree = simple_graph(m, chosen, tuple(str(lab) for lab in h.vertices))
+    tree = simple_graph(m, chosen)
     if not verify_host_tree(h, tree):
         raise AssertionError("maximum-weight spanning tree is not a host tree")
     return HostTreeResult("yes", tree)
@@ -433,25 +417,18 @@ def verify_host_tree(h: Hypergraph, tree: SimpleGraph) -> bool:
     """Independent check: a spanning tree in which every hyperedge e
     contains exactly |e| - 1 tree edges.
 
-    m - 1 edges of which none closes a cycle make a tree; union-find
-    tells.  A vertex subset of a tree induces a forest, and a forest on
-    k vertices is connected iff it has k - 1 edges.  The count looks up
-    each pair of e in the tree's edge set, O(|e|^2) lookups.
+    max(m - 1, 0) edges that form a forest, which topology.component_count
+    tells by counting m - edge_count components, make a tree.  A vertex
+    subset of a tree induces a forest, and a forest on k vertices is
+    connected iff it has k - 1 edges.  The count looks up each pair of e
+    in the tree's edge set, O(|e|^2) lookups.
     """
     m = len(h.vertices)
     if tree.vertex_count != m or tree.edge_count != max(m - 1, 0):
         return False
-    root = list(range(m))
-    for u, v in tree.edges:
-        while root[u] != u:
-            root[u] = u = root[root[u]]  # path halving
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        if u == v:
-            return False
-        root[u] = v
-    return all(sum(p in tree.edges for p in combinations(sorted(e), 2))
-               == len(e) - 1 for e in h.edges)
+    return (component_count(m, tree.edges) == m - tree.edge_count
+            and all(sum(p in tree.edges for p in combinations(sorted(e), 2))
+                    == len(e) - 1 for e in h.edges))
 
 
 def isomorphic(h1: Hypergraph, h2: Hypergraph):

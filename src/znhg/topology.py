@@ -1,5 +1,11 @@
 """Simple graphs, incidence graphs and certified planarity.
 
+A SimpleGraph is index-only: a vertex count and a set of normalized
+pairs.  incidence_names is the one place where the nodes of an incidence
+graph get names, for to_dot and the JSON export.  component_count is the
+one component counter: the rotation, host-tree and incidence-forest
+checkers all count with it.
+
 is_planar decides planarity by networkx's left-right (LR) test, and
 both kinds of certificate -- a rotation system for planar graphs, a
 Kuratowski subdivision for nonplanar ones -- are re-verified here by
@@ -32,7 +38,6 @@ class SimpleGraph:
 
     vertex_count: int
     edges: frozenset[tuple[int, int]]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         for u, v in self.edges:
@@ -40,8 +45,6 @@ class SimpleGraph:
                 raise ValueError(f"self-loop at {u}")
             if not (0 <= u < v < self.vertex_count):
                 raise ValueError(f"edge ({u}, {v}) out of range or unnormalized")
-        if self.labels is not None and len(self.labels) != self.vertex_count:
-            raise ValueError("label count does not match vertex count")
 
     @property
     def edge_count(self) -> int:
@@ -65,32 +68,31 @@ class SimpleGraph:
         return deg
 
 
-def simple_graph(vertex_count: int, pairs, labels=None) -> SimpleGraph:
+def simple_graph(vertex_count: int, pairs) -> SimpleGraph:
     """Normalize an edge list into a SimpleGraph."""
-    edges = frozenset((min(u, v), max(u, v)) for u, v in pairs)
-    return SimpleGraph(vertex_count, edges,
-                       tuple(labels) if labels is not None else None)
+    return SimpleGraph(vertex_count,
+                       frozenset((min(u, v), max(u, v)) for u, v in pairs))
 
 
-def connected_components(g: SimpleGraph) -> list[list[int]]:
-    adj = g.adjacency()
-    seen = [False] * g.vertex_count
-    comps = []
-    for s in range(g.vertex_count):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+def component_count(vertex_count: int, pairs) -> int:
+    """Components of the graph on 0..vertex_count-1 with the given pairs
+    as edges, by union-find with path halving.
+
+    Each pair either merges two components or closes a cycle, so the
+    pairs form a forest iff the count is vertex_count - len(pairs); a
+    repeated pair or a loop closes a cycle.
+    """
+    root = list(range(vertex_count))
+    count = vertex_count
+    for u, v in pairs:
+        while root[u] != u:
+            root[u] = u = root[root[u]]  # path halving
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u != v:
+            root[u] = v
+            count -= 1
+    return count
 
 
 def shortest_cycle_length(g: SimpleGraph):
@@ -125,16 +127,21 @@ def shortest_cycle_length(g: SimpleGraph):
 def incidence_graph(h: Hypergraph) -> SimpleGraph:
     """Bipartite representation: subgroup nodes first, then hyperedge nodes.
 
-    Node i < |V| is vertex i of the hypergraph (label ``v<generator>``);
-    node |V| + j is hyperedge j (label ``e<j>``).
+    Node i < |V| is vertex i of the hypergraph and node |V| + j is
+    hyperedge j; incidence_names names them.  Each pair (v, |V| + j) is
+    already normalized, since v < |V|.
     """
     nv = len(h.vertices)
-    pairs = []
-    for j, e in enumerate(h.edges):
-        for v in e:
-            pairs.append((v, nv + j))
-    labels = [f"v{lab}" for lab in h.vertices] + [f"e{j}" for j in range(len(h.edges))]
-    return simple_graph(nv + len(h.edges), pairs, labels)
+    return SimpleGraph(nv + len(h.edges),
+                       frozenset((v, nv + j)
+                                 for j, e in enumerate(h.edges) for v in e))
+
+
+def incidence_names(h: Hypergraph) -> list[str]:
+    """The names of incidence_graph(h)'s nodes, the one place they are
+    made: ``v<generator>`` for vertex i, ``e<j>`` for hyperedge j."""
+    return ([f"v{lab}" for lab in h.vertices]
+            + [f"e{j}" for j in range(len(h.edges))])
 
 
 @dataclass(frozen=True)
@@ -195,7 +202,8 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
 
     ng = nx.Graph()
     ng.add_nodes_from(range(g.vertex_count))
-    ng.add_edges_from(g.sorted_edges())
+    edges = g.sorted_edges()
+    ng.add_edges_from(edges)
     ok, embedding = nx.check_planarity(ng)
     if ok:
         data = embedding.get_data()
@@ -204,8 +212,8 @@ def is_planar(g: SimpleGraph) -> PlanarityResult:
         if not verify_rotation_system(g, rotation):
             raise AssertionError("embedding failed Euler verification")
         return result
-    core = _minimal_nonplanar_core(g.vertex_count, g.sorted_edges())
-    witness = simple_graph(g.vertex_count, core, g.labels)
+    core = _minimal_nonplanar_core(g.vertex_count, edges)
+    witness = simple_graph(g.vertex_count, core)
     kind = verify_kuratowski_witness(g, witness)
     if kind is None:
         raise AssertionError("extracted core is not a Kuratowski subdivision")
@@ -305,7 +313,7 @@ def verify_rotation_system(g: SimpleGraph, rotation) -> bool:
             return False
     isolated = sum(1 for a in adj if not a)
     return (g.vertex_count - g.edge_count + count_faces(g, rotation) + isolated
-            == 2 * len(connected_components(g)))
+            == 2 * component_count(g.vertex_count, g.edges))
 
 
 def verify_kuratowski_witness(host: SimpleGraph, witness: SimpleGraph) -> str | None:
@@ -365,20 +373,16 @@ def verify_kuratowski_witness(host: SimpleGraph, witness: SimpleGraph) -> str | 
     return expect if set(base_edges) == want else None
 
 
-def to_dot(g: SimpleGraph) -> str:
-    """DOT serialization; subgroup nodes (v...) are circles, hyperedge
-    nodes (e...) squares, anything else plain."""
+def to_dot(h: Hypergraph) -> str:
+    """DOT serialization of incidence_graph(h), its nodes named by
+    incidence_names: subgroup nodes are circles, hyperedge nodes squares."""
+    names = incidence_names(h)
+    nv = len(h.vertices)
     lines = ["graph {"]
-    for v in range(g.vertex_count):
-        name = g.labels[v] if g.labels else f"n{v}"
-        if name.startswith("e"):
-            shape = "square"
-        else:
-            shape = "circle"
+    for i, name in enumerate(names):
+        shape = "circle" if i < nv else "square"
         lines.append(f'  {name} [shape={shape}];')
-    for u, v in g.sorted_edges():
-        nu = g.labels[u] if g.labels else f"n{u}"
-        nv = g.labels[v] if g.labels else f"n{v}"
-        lines.append(f"  {nu} -- {nv};")
+    for u, v in incidence_graph(h).sorted_edges():
+        lines.append(f"  {names[u]} -- {names[v]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -436,7 +436,7 @@ def _lifted_planarity(f: Factorization,
     if any(u is None or v is None for u, v in pairs):
         return None
     g = topology.incidence_graph(h)
-    witness = topology.simple_graph(g.vertex_count, pairs, g.labels)
+    witness = topology.simple_graph(g.vertex_count, pairs)
     if topology.verify_kuratowski_witness(g, witness) != kind:
         return None
     return topology.PlanarityResult(False, witness=witness, witness_kind=kind)

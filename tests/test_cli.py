@@ -286,15 +286,30 @@ def test_group_capability_error(capsys):
     assert "limit" in err
 
 
+def incidence_reference(n):
+    """The incidence export's nodes and links, built from h: v<d> for
+    each vertex, e<j> for each hyperedge, links in ascending (vertex
+    node, hyperedge node) order."""
+    h = build_intersection_hypergraph(factorize(n))
+    vertices = [f"v{d}" for d in h.vertices]
+    hyperedges = [f"e{j}" for j in range(len(h.edges))]
+    links = [[vertices[i], hyperedges[j]] for i, j in
+             sorted((i, j) for j, e in enumerate(h.edges) for i in e)]
+    return vertices, hyperedges, links
+
+
 def test_export_dot_incidence(capsys):
     code, out, _ = run(capsys, "export", "30", "--format", "dot",
                        "--target", "incidence")
+    vertices, hyperedges, links = incidence_reference(30)
     assert code == 0
-    node_lines = [l for l in out.splitlines() if "[shape=" in l]
-    assert len(node_lines) == 10
-    assert "  v2 [shape=circle];" in out
-    assert "  e0 [shape=square];" in out
-    assert out.count(" -- ") == 9
+    assert out == "".join(
+        ["graph {\n"]
+        + [f"  {v} [shape=circle];\n" for v in vertices]
+        + [f"  {e} [shape=square];\n" for e in hyperedges]
+        + [f"  {v} -- {e};\n" for v, e in links]
+        + ["}\n"])
+    assert len(vertices) + len(hyperedges) == 10 and len(links) == 9
 
 
 def test_export_json_hypergraph(capsys):
@@ -344,8 +359,12 @@ def test_export_json_incidence_bytes(capsys, n):
     # the node and link arrays are written by hand as well
     code, out, _ = run(capsys, "export", str(n), "--format", "json",
                        "--target", "incidence")
+    vertices, hyperedges, links = incidence_reference(n)
     assert code == 0
-    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    assert out == json.dumps({
+        "schema": "znhg/1", "kind": "incidence", "n": n,
+        "nodes": vertices + hyperedges, "links": links,
+    }, indent=2, sort_keys=True) + "\n"
 
 
 def test_export_to_file(capsys, tmp_path):
@@ -558,7 +577,10 @@ if sys.argv[1] == "oracle":
     topology.hypergraph_planar(
         build_intersection_hypergraph(arith.factorize(60)))
 for argv in (["analyze", "60"], ["analyze", "7560"],
-             ["sweep", "2", "2000", "--checks", "planarity", "--json"]):
+             ["sweep", "2", "2000", "--checks", "planarity", "--json"],
+             ["export", "60", "--format", "dot", "--target", "incidence"],
+             ["export", "60", "--format", "json", "--target", "incidence"],
+             ["group", "cyclic", "12"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 print("networkx" in sys.modules)
@@ -569,5 +591,6 @@ print("networkx" in sys.modules)
                                            ("oracle", "True")])
 def test_planarity_on_z_n_never_imports_networkx(mode, imported):
     # a fresh interpreter, since this one may have imported networkx for
-    # other tests; one call of the LR oracle shows that the probe sees it
+    # other tests; one call of the LR oracle shows that the probe sees it.
+    # Every subcommand runs, since networkx is only a test dependency
     assert _fresh_python(_NO_NETWORKX, mode).strip() == imported

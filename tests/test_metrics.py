@@ -323,6 +323,9 @@ def test_girth_checker_rejects_a_cycle_as_a_forest():
     for n in (6, 12, 30):
         h = build(n)
         assert check_girth(h, INFINITE, None) == (girth(h) == INFINITE)
+    # a hyperedge that lists a vertex twice repeats an incidence pair
+    assert check_girth(Hypergraph((0, 1), ((0, 1),)), INFINITE, None)
+    assert not check_girth(Hypergraph((0, 1), ((0, 1, 1),)), INFINITE, None)
 
 
 def test_girth_checker_rejects_a_four_cycle_with_an_edge_missing():

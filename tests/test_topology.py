@@ -1,12 +1,13 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
 
 from znhg.arith import factorize
 from znhg.hypergraph import Hypergraph, build_intersection_hypergraph
-from znhg.topology import (SimpleGraph, connected_components,
-                           hypergraph_planar, incidence_graph, is_planar,
+from znhg.topology import (SimpleGraph, component_count, hypergraph_planar,
+                           incidence_graph, incidence_names, is_planar,
                            shortest_cycle_length, simple_graph, theta_rotation,
                            to_dot, verify_kuratowski_witness,
                            verify_rotation_system)
@@ -37,7 +38,7 @@ def test_incidence_graph_examples():
     g6 = incidence_graph(build(6))
     assert g6.vertex_count == 3
     assert g6.sorted_edges() == [(0, 2), (1, 2)]
-    assert g6.labels == ("v2", "v3", "e0")
+    assert incidence_names(build(6)) == ["v2", "v3", "e0"]
 
     g30 = incidence_graph(build(30))
     assert g30.vertex_count == 10
@@ -189,7 +190,52 @@ def test_face_count_euler_disconnected():
     res = is_planar(tri2)
     assert res.planar
     assert verify_rotation_system(tri2, res.rotation)
-    assert len(connected_components(tri2)) == 2
+    assert component_count(tri2.vertex_count, tri2.edges) == 2
+
+
+def bfs_component_count(vertex_count, pairs):
+    adj = [[] for _ in range(vertex_count)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * vertex_count
+    count = 0
+    for s in range(vertex_count):
+        if not seen[s]:
+            count += 1
+            seen[s] = True
+            queue = [s]
+            for u in queue:
+                for w in adj[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        queue.append(w)
+    return count
+
+
+def is_forest(vertex_count, pairs):
+    return component_count(vertex_count, pairs) == vertex_count - len(pairs)
+
+
+def test_component_count_matches_bfs():
+    assert component_count(0, []) == 0
+    rng = random.Random(22)
+    for _ in range(500):
+        # few pairs on many nodes leave isolated nodes; pairs may repeat
+        # or be loops
+        vertex_count = rng.randrange(1, 12)
+        pairs = [(rng.randrange(vertex_count), rng.randrange(vertex_count))
+                 for _ in range(rng.randrange(2 * vertex_count))]
+        assert (component_count(vertex_count, pairs)
+                == bfs_component_count(vertex_count, pairs))
+        # each node joins an earlier one or starts a tree: a forest, until
+        # a loop or a repeated pair closes a cycle
+        forest = [(rng.randrange(v), v) for v in range(1, vertex_count)
+                  if rng.random() < 0.7]
+        rng.shuffle(forest)
+        assert is_forest(vertex_count, forest)
+        for extra in [(0, 0)] + forest[:1] + [(v, u) for u, v in forest[:1]]:
+            assert not is_forest(vertex_count, forest + [extra])
 
 
 def test_rotation_verifier_counts_every_component():
@@ -238,7 +284,7 @@ def test_removing_hyperedges_preserves_planarity():
 
 
 def test_dot_output_golden():
-    dot = to_dot(incidence_graph(build(6)))
+    dot = to_dot(build(6))
     assert dot == (
         "graph {\n"
         "  v2 [shape=circle];\n"
