@@ -24,15 +24,17 @@ evaluated: in analyze, or in a sweep that starts at that n.
 
 Nor is planarity searched for.  Two vertices are compatible iff their
 deficiency sets {i : r_i < alpha_i}, the masks of
-hypergraph.vertex_set, are disjoint, and the shift
-r -> r + (alpha - beta) on primes matched to a pattern beta <= alpha
-keeps exactly that, so the incidence graph of a beta-number embeds in
-n's and a Kuratowski witness of it maps in edge for edge.  Every
-nonplanar pattern dominates one of _PLANARITY_BASES, whose witnesses are
-stored as literal data.  The incidence graph of every planar pattern,
-(1, a), (2, a), (1, 1, 1) and (1, 1, 2), is a forest plus at most one
-subdivided theta graph, which topology.theta_rotation embeds without
-knowing n.  A lifted witness counts only after
+hypergraph.vertex_set, are disjoint.  For n0 of a pattern beta <= alpha,
+d -> sigma(d) * n / sigma(n0), sigma being _prime_map's, raises each
+matched exponent by alpha - beta and puts alpha on the other primes,
+which keeps exactly that, so the incidence graph of n0 embeds in n's
+and a Kuratowski witness of it maps in edge for edge.  A sweep's carry
+is the same map with cofactor 1.  Every nonplanar pattern dominates one
+of four bases, whose witnesses are stored as literal data on the
+divisors of their smallest n.  The incidence graph of every planar
+pattern, (1, a), (2, a), (1, 1, 1) and (1, 1, 2), is a forest plus at
+most one subdivided theta graph, which topology.theta_rotation embeds
+without knowing n.  A lifted witness counts only after
 verify_kuratowski_witness accepts it, and a rotation only after
 verify_rotation_system does, both on n's own incidence graph.
 
@@ -264,175 +266,164 @@ def cached_host_tree(f: Factorization, h: Hypergraph,
     return metrics.has_host_tree(h, limit)
 
 
-# the minimal nonplanar exponent patterns, tried in this order
-_PLANARITY_BASES = ((3, 3), (1, 2, 2), (1, 1, 3), (1, 1, 1, 1))
-
-# A Kuratowski witness of each base, taken once from
-# topology.hypergraph_planar on the smallest n of the pattern, which puts
-# the exponents, in descending order, on 2, 3, 5, 7.  An edge is (vertex
-# exponent vector, frozenset of the hyperedge's vertex exponent vectors);
-# every edge runs from a vertex node to a hyperedge node.
+# A Kuratowski witness of each minimal nonplanar pattern, (3, 3),
+# (1, 2, 2), (1, 1, 3) and (1, 1, 1, 1), tried in this order, taken once
+# from topology.hypergraph_planar on the pattern's smallest n, which puts
+# the exponents, in descending order, on 2, 3, 5, 7, and keyed by that n.
+# An edge is (vertex, frozenset of the hyperedge's vertices), all divisors
+# of the key; every edge runs from a vertex node to a hyperedge node.
 _BASE_WITNESSES = {
-    (3, 3): ("K33", (
-        ((3, 0), frozenset({(0, 3), (3, 0)})),
-        ((3, 0), frozenset({(1, 3), (3, 0)})),
-        ((3, 0), frozenset({(2, 3), (3, 0)})),
-        ((3, 1), frozenset({(0, 3), (3, 1)})),
-        ((3, 1), frozenset({(1, 3), (3, 1)})),
-        ((3, 1), frozenset({(2, 3), (3, 1)})),
-        ((0, 3), frozenset({(0, 3), (3, 0)})),
-        ((0, 3), frozenset({(0, 3), (3, 1)})),
-        ((0, 3), frozenset({(0, 3), (3, 2)})),
-        ((1, 3), frozenset({(1, 3), (3, 0)})),
-        ((1, 3), frozenset({(1, 3), (3, 1)})),
-        ((1, 3), frozenset({(1, 3), (3, 2)})),
-        ((3, 2), frozenset({(0, 3), (3, 2)})),
-        ((3, 2), frozenset({(1, 3), (3, 2)})),
-        ((3, 2), frozenset({(2, 3), (3, 2)})),
-        ((2, 3), frozenset({(2, 3), (3, 0)})),
-        ((2, 3), frozenset({(2, 3), (3, 1)})),
-        ((2, 3), frozenset({(2, 3), (3, 2)})),
+    216: ("K33", (
+        (8, frozenset({8, 27})),
+        (8, frozenset({8, 54})),
+        (8, frozenset({8, 108})),
+        (24, frozenset({24, 27})),
+        (24, frozenset({24, 54})),
+        (24, frozenset({24, 108})),
+        (27, frozenset({8, 27})),
+        (27, frozenset({24, 27})),
+        (27, frozenset({27, 72})),
+        (54, frozenset({8, 54})),
+        (54, frozenset({24, 54})),
+        (54, frozenset({54, 72})),
+        (72, frozenset({27, 72})),
+        (72, frozenset({54, 72})),
+        (72, frozenset({72, 108})),
+        (108, frozenset({8, 108})),
+        (108, frozenset({24, 108})),
+        (108, frozenset({72, 108})),
     )),
-    (1, 2, 2): ("K33", (
-        ((0, 2, 0), frozenset({(0, 2, 0), (2, 0, 1)})),
-        ((0, 2, 0), frozenset({(0, 2, 0), (2, 1, 1)})),
-        ((2, 1, 0), frozenset({(0, 2, 1), (2, 1, 0)})),
-        ((2, 1, 0), frozenset({(1, 2, 1), (2, 1, 0)})),
-        ((2, 0, 1), frozenset({(0, 2, 0), (2, 0, 1)})),
-        ((2, 0, 1), frozenset({(0, 2, 1), (2, 0, 1), (2, 2, 0)})),
-        ((2, 0, 1), frozenset({(1, 2, 1), (2, 0, 1), (2, 2, 0)})),
-        ((2, 2, 0), frozenset({(0, 2, 1), (2, 0, 1), (2, 2, 0)})),
-        ((2, 2, 0), frozenset({(1, 2, 1), (2, 0, 1), (2, 2, 0)})),
-        ((2, 2, 0), frozenset({(0, 2, 1), (2, 1, 1), (2, 2, 0)})),
-        ((0, 2, 1), frozenset({(0, 2, 1), (2, 1, 0)})),
-        ((0, 2, 1), frozenset({(0, 2, 1), (2, 0, 1), (2, 2, 0)})),
-        ((0, 2, 1), frozenset({(0, 2, 1), (2, 1, 1), (2, 2, 0)})),
-        ((2, 1, 1), frozenset({(0, 2, 0), (2, 1, 1)})),
-        ((2, 1, 1), frozenset({(0, 2, 1), (2, 1, 1), (2, 2, 0)})),
-        ((1, 2, 1), frozenset({(1, 2, 1), (2, 1, 0)})),
-        ((1, 2, 1), frozenset({(1, 2, 1), (2, 0, 1), (2, 2, 0)})),
+    180: ("K33", (
+        (9, frozenset({9, 20})),
+        (9, frozenset({9, 60})),
+        (12, frozenset({12, 45})),
+        (12, frozenset({12, 90})),
+        (20, frozenset({9, 20})),
+        (20, frozenset({20, 36, 45})),
+        (20, frozenset({20, 36, 90})),
+        (36, frozenset({20, 36, 45})),
+        (36, frozenset({20, 36, 90})),
+        (36, frozenset({36, 45, 60})),
+        (45, frozenset({12, 45})),
+        (45, frozenset({20, 36, 45})),
+        (45, frozenset({36, 45, 60})),
+        (60, frozenset({9, 60})),
+        (60, frozenset({36, 45, 60})),
+        (90, frozenset({12, 90})),
+        (90, frozenset({20, 36, 90})),
     )),
-    (1, 1, 3): ("K33", (
-        ((3, 0, 0), frozenset({(0, 1, 1), (3, 0, 0)})),
-        ((3, 0, 0), frozenset({(1, 1, 1), (3, 0, 0)})),
-        ((3, 0, 0), frozenset({(2, 1, 1), (3, 0, 0)})),
-        ((0, 1, 1), frozenset({(0, 1, 1), (3, 0, 0)})),
-        ((0, 1, 1), frozenset({(0, 1, 1), (3, 0, 1), (3, 1, 0)})),
-        ((3, 1, 0), frozenset({(0, 1, 1), (3, 0, 1), (3, 1, 0)})),
-        ((3, 1, 0), frozenset({(1, 1, 1), (3, 0, 1), (3, 1, 0)})),
-        ((3, 1, 0), frozenset({(2, 1, 1), (3, 0, 1), (3, 1, 0)})),
-        ((1, 1, 1), frozenset({(1, 1, 1), (3, 0, 0)})),
-        ((1, 1, 1), frozenset({(1, 1, 1), (3, 0, 1), (3, 1, 0)})),
-        ((3, 0, 1), frozenset({(0, 1, 1), (3, 0, 1), (3, 1, 0)})),
-        ((3, 0, 1), frozenset({(1, 1, 1), (3, 0, 1), (3, 1, 0)})),
-        ((3, 0, 1), frozenset({(2, 1, 1), (3, 0, 1), (3, 1, 0)})),
-        ((2, 1, 1), frozenset({(2, 1, 1), (3, 0, 0)})),
-        ((2, 1, 1), frozenset({(2, 1, 1), (3, 0, 1), (3, 1, 0)})),
+    120: ("K33", (
+        (8, frozenset({8, 15})),
+        (8, frozenset({8, 30})),
+        (8, frozenset({8, 60})),
+        (15, frozenset({8, 15})),
+        (15, frozenset({15, 24, 40})),
+        (24, frozenset({15, 24, 40})),
+        (24, frozenset({24, 30, 40})),
+        (24, frozenset({24, 40, 60})),
+        (30, frozenset({8, 30})),
+        (30, frozenset({24, 30, 40})),
+        (40, frozenset({15, 24, 40})),
+        (40, frozenset({24, 30, 40})),
+        (40, frozenset({24, 40, 60})),
+        (60, frozenset({8, 60})),
+        (60, frozenset({24, 40, 60})),
     )),
-    (1, 1, 1, 1): ("K33", (
-        ((1, 1, 0, 0), frozenset({(0, 0, 1, 1), (1, 1, 0, 0)})),
-        ((1, 1, 0, 0), frozenset({(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 0)})),
-        ((1, 0, 1, 0), frozenset({(0, 1, 0, 1), (1, 0, 1, 0)})),
-        ((1, 0, 1, 0), frozenset({(0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 1)})),
-        ((1, 0, 0, 1), frozenset({(0, 1, 1, 0), (1, 0, 0, 1)})),
-        ((1, 0, 0, 1), frozenset({(0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0)})),
-        ((0, 1, 1, 0), frozenset({(0, 1, 1, 0), (1, 0, 0, 1)})),
-        ((0, 1, 1, 0), frozenset({(0, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1)})),
-        ((0, 1, 0, 1), frozenset({(0, 1, 0, 1), (1, 0, 1, 0)})),
-        ((0, 1, 0, 1), frozenset({(0, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 0)})),
-        ((1, 1, 1, 0), frozenset({(0, 1, 1, 1), (1, 0, 0, 1), (1, 1, 1, 0)})),
-        ((1, 1, 1, 0), frozenset({(0, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 0)})),
-        ((1, 1, 1, 0), frozenset({(0, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)})),
-        ((0, 0, 1, 1), frozenset({(0, 0, 1, 1), (1, 1, 0, 0)})),
-        ((0, 0, 1, 1), frozenset({(0, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)})),
-        ((1, 1, 0, 1), frozenset({(0, 1, 1, 1), (1, 0, 1, 0), (1, 1, 0, 1)})),
-        ((1, 1, 0, 1), frozenset({(0, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1)})),
-        ((1, 1, 0, 1), frozenset({(0, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)})),
-        ((1, 0, 1, 1), frozenset({(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 0)})),
-        ((1, 0, 1, 1), frozenset({(0, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 1)})),
-        ((1, 0, 1, 1), frozenset({(0, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 0)})),
+    210: ("K33", (
+        (6, frozenset({6, 35})),
+        (6, frozenset({6, 70, 105})),
+        (10, frozenset({10, 21})),
+        (10, frozenset({10, 42, 105})),
+        (14, frozenset({14, 15})),
+        (14, frozenset({14, 30, 105})),
+        (15, frozenset({14, 15})),
+        (15, frozenset({15, 42, 70})),
+        (21, frozenset({10, 21})),
+        (21, frozenset({21, 30, 70})),
+        (30, frozenset({14, 30, 105})),
+        (30, frozenset({21, 30, 70})),
+        (30, frozenset({30, 35, 42})),
+        (35, frozenset({6, 35})),
+        (35, frozenset({30, 35, 42})),
+        (42, frozenset({10, 42, 105})),
+        (42, frozenset({15, 42, 70})),
+        (42, frozenset({30, 35, 42})),
+        (70, frozenset({6, 70, 105})),
+        (70, frozenset({15, 42, 70})),
+        (70, frozenset({21, 30, 70})),
     )),
 }
+
+# the bases' factorizations, in the order they are tried
+_BASES = tuple(map(factorize, _BASE_WITNESSES))
 
 
 def _by_exponent(exponents: tuple[int, ...]) -> list[int]:
     """Indices of n's primes by descending exponent, ties in prime order:
-    the order in which the coordinates of _BASE_WITNESSES' labels list
-    them, and in which _relabelling pairs the primes of two n."""
+    the order in which _prime_map pairs the primes of two n."""
     return sorted(range(len(exponents)), key=lambda i: -exponents[i])
 
 
-def _dominated_base(exponents: tuple[int, ...]):
-    """(base, beta, sigma) for the first base n's exponents dominate.
+def _prime_map(f0: Factorization, f: Factorization) -> dict:
+    """sigma on the divisors of n0: the i-th prime of n0 goes to the i-th
+    prime of n, both in _by_exponent order, and a divisor goes where its
+    prime powers go."""
+    sigma = {1: 1}
+    for i, j in zip(_by_exponent(f0.exponents), _by_exponent(f.exponents)):
+        (p, a), (q, _) = f0.factors[i], f.factors[j]
+        sigma = {d * p**k: e * q**k for d, e in sigma.items()
+                 for k in range(a + 1)}
+    return sigma
 
-    beta is the base sorted descending; sigma maps base coordinate j to
-    the index of the prime of n at the same rank.
-    """
+
+def _dominated_base(exponents: tuple[int, ...]) -> Factorization | None:
+    """The first of _BASES whose exponents, descending on 2, 3, 5, 7, each
+    sit under n's exponent at the same _by_exponent rank, or None."""
     order = _by_exponent(exponents)
-    for base in _PLANARITY_BASES:
-        beta = sorted(base, reverse=True)
-        if len(beta) <= len(order) and all(
-                b <= exponents[i] for b, i in zip(beta, order)):
-            return base, beta, order[:len(beta)]
+    for f0 in _BASES:
+        if f0.omega <= len(order) and all(
+                b <= exponents[i] for b, i in zip(f0.exponents, order)):
+            return f0
     return None
 
 
-def _lift_vertex(r, beta, alphas, sigma) -> tuple[int, ...]:
-    """n's exponents for base vertex r: alpha - beta + r on the matched
-    primes, alpha on the rest."""
-    exps = list(alphas)
-    for j, i in enumerate(sigma):
-        exps[i] += r[j] - beta[j]
-    return tuple(exps)
+def _lifted_planarity(f: Factorization,
+                      h: Hypergraph) -> topology.PlanarityResult | None:
+    """A checked nonplanarity certificate lifted from a base, or None.
 
-
-def _base_nodes(f: Factorization, h: Hypergraph, beta, sigma):
-    """The map from the labels of a stored base witness to nodes of n's
-    incidence graph.  Only the nonplanar lift needs stored labels: the
-    incidence graph of a planar pattern is a forest plus at most one
-    subdivided theta, which topology.theta_rotation embeds directly.
-
-    A vertex label goes through _lift_vertex; a hyperedge label goes to
-    the first hyperedge holding the image of its vertices, which by
-    maximality meets the image exactly there: the least index on the
-    hyperedge lists of every image vertex.  A label without an image
-    maps to None.
+    A vertex label d of the witness of the base n0 goes to
+    sigma(d) * n / sigma(n0), sigma being _prime_map(f0, f); a hyperedge
+    label goes to the first hyperedge holding the image of its vertices,
+    which by maximality meets the image exactly there: the least index on
+    the hyperedge lists of every image vertex.  A label without an image
+    refuses the lift.
     """
+    f0 = _dominated_base(f.exponents)
+    if f0 is None:
+        return None
+    sigma = _prime_map(f0, f)
+    cofactor = f.n // sigma[f0.n]
     index = {d: i for i, d in enumerate(h.vertices)}
+    vertex = {d: index.get(e * cofactor) for d, e in sigma.items()}
     nv = len(h.vertices)
     incident = [[] for _ in range(nv)]
     for j, e in enumerate(h.edges):
         for v in e:
             incident[v].append(j)
 
-    def vertex(r):
-        exps = _lift_vertex(r, beta, f.exponents, sigma)
-        return index.get(math.prod(p**e for p, e in zip(f.primes, exps)))
-
     @functools.cache
     def node(label):
         if not isinstance(label, frozenset):
-            return vertex(label)
-        image = [vertex(r) for r in label]
+            return vertex.get(label)
+        image = [vertex.get(d) for d in label]
         if None in image:
             return None
         common = set(incident[image[0]]).intersection(
             *(incident[v] for v in image[1:]))
         return nv + min(common) if common else None
 
-    return node
-
-
-def _lifted_planarity(f: Factorization,
-                      h: Hypergraph) -> topology.PlanarityResult | None:
-    """A checked nonplanarity certificate lifted from a base, or None."""
-    found = _dominated_base(f.exponents)
-    if found is None:
-        return None
-    base, beta, sigma = found
-    kind, base_edges = _BASE_WITNESSES[base]
-    node = _base_nodes(f, h, beta, sigma)
-    pairs = [(node(r), node(c)) for r, c in base_edges]
+    kind, base_edges = _BASE_WITNESSES[f0.n]
+    pairs = [(node(d), node(c)) for d, c in base_edges]
     if any(u is None or v is None for u, v in pairs):
         return None
     g = topology.incidence_graph(h)
@@ -629,14 +620,8 @@ def _sweep_one(f: Factorization, h: Hypergraph, checks,
 
 
 def _relabelling(f0: Factorization, h0: Hypergraph, f: Factorization) -> dict:
-    """sigma on h0's labels: the i-th prime of n0 goes to the i-th prime
-    of n, both in _by_exponent order, and a divisor goes where its prime
-    powers go."""
-    sigma = {1: 1}
-    for i, j in zip(_by_exponent(f0.exponents), _by_exponent(f.exponents)):
-        (p, a), (q, _) = f0.factors[i], f.factors[j]
-        sigma = {d * p**k: e * q**k for d, e in sigma.items()
-                 for k in range(a + 1)}
+    """_prime_map from n0 to n on h0's labels."""
+    sigma = _prime_map(f0, f)
     return {d: sigma[d] for d in h0.vertices}
 
 

@@ -1,9 +1,10 @@
+import itertools
 import json
 import math
 
 import pytest
 
-from znhg.arith import factorize_range
+from znhg.arith import Factorization, factorize_range
 from znhg.hypergraph import build_intersection_hypergraph
 from znhg.metrics import has_host_tree
 from znhg.verify import (ALL_CHECKS, AnalysisReport, analyze, cached_host_tree,
@@ -431,6 +432,93 @@ def test_lifted_witness_exists_exactly_for_nonplanar_patterns(builds5000):
     assert lifted == 812
 
 
+def test_stored_witnesses_are_the_oracles_on_each_base():
+    # the data's provenance: on its own key sigma is the identity and the
+    # cofactor 1, so each stored witness lifts onto the witness the LR
+    # oracle extracts there
+    from znhg import topology
+    from znhg import verify as v
+
+    assert [f0.n for f0 in v._BASES] == [216, 180, 120, 210]
+    for f0 in v._BASES:
+        h = build_intersection_hypergraph(f0)
+        assert v._dominated_base(f0.exponents) is f0
+        oracle = topology.hypergraph_planar(h)
+        lifted = v._lifted_planarity(f0, h)
+        assert lifted.witness == oracle.witness, f0.n
+        assert lifted.witness_kind == oracle.witness_kind == "K33"
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _dominates(exponents, base_exponents):
+    alpha = sorted(exponents, reverse=True)
+    beta = sorted(base_exponents, reverse=True)
+    return len(beta) <= len(alpha) and all(
+        b <= a for a, b in zip(alpha, beta))
+
+
+def test_prime_map_lifts_compatibility_exactly():
+    # the lift lemma on divisors alone: for every base n0 that n
+    # dominates, d -> sigma(d) * n / sigma(n0) is injective on the
+    # divisors of n0, lands on divisors of n, and has lcm(d, d') = n0 iff
+    # the images have lcm n, which is compatibility; for n of n0's own
+    # pattern sigma is a bijection of divisors taking n0 to n
+    from znhg import verify as v
+
+    pairs = 0
+    for f in factorize_range(2, 3000):
+        for f0 in v._BASES:
+            if not _dominates(f.exponents, f0.exponents):
+                continue
+            pairs += 1
+            sigma = v._prime_map(f0, f)
+            divisors = _divisors(f0.n)
+            assert sorted(sigma) == divisors
+            cofactor, rest = divmod(f.n, sigma[f0.n])
+            assert rest == 0, (f.n, f0.n)
+            lam = {d: sigma[d] * cofactor for d in divisors}
+            assert len(set(lam.values())) == len(divisors), (f.n, f0.n)
+            assert all(f.n % image == 0 for image in lam.values())
+            for d, e in itertools.combinations(divisors, 2):
+                assert ((math.lcm(d, e) == f0.n)
+                        == (math.lcm(lam[d], lam[e]) == f.n)), (f.n, d, e)
+            if sorted(f.exponents) == sorted(f0.exponents):
+                assert cofactor == 1
+                assert sorted(sigma.values()) == _divisors(f.n)
+    assert pairs == 497
+
+
+def _smallest_n(pattern):
+    factors = tuple(zip((2, 3, 5, 7, 11, 13), pattern))
+    return Factorization(math.prod(p**a for p, a in factors), factors)
+
+
+def test_a_base_is_dominated_exactly_by_the_nonplanar_patterns():
+    # every sorted pattern with 2 to 6 primes and exponents up to 8, far
+    # past the patterns of n <= 5000: a base is found iff the classifier
+    # says nonplanar, and each base is minimal, since lowering any one
+    # exponent gives a planar pattern
+    from znhg import classify
+    from znhg import verify as v
+
+    patterns = [p for k in range(2, 7)
+                for p in itertools.combinations_with_replacement(range(1, 9), k)]
+    assert len(patterns) == 2994
+    for pattern in patterns:
+        nonplanar = not classify.predict(_smallest_n(pattern)).planar
+        assert (v._dominated_base(pattern) is not None) == nonplanar, pattern
+    for f0 in v._BASES:
+        for i in range(f0.omega):
+            lowered = list(f0.exponents)
+            lowered[i] -= 1
+            pattern = tuple(sorted(a for a in lowered if a))
+            assert v._dominated_base(pattern) is None, (f0.n, pattern)
+            assert classify.predict(_smallest_n(pattern)).planar, pattern
+
+
 def _planarity_findings(lo, hi, builds=None):
     """The n with a planarity finding, from run_sweep, or from the per-n
     reference path when builds are given."""
@@ -449,7 +537,17 @@ def test_broken_lift_is_an_uncertified_finding(monkeypatch, builds5000,
     from znhg import verify as v
 
     if breakage == "identity map":
-        monkeypatch.setattr(v, "_lift_vertex", lambda r, *shift: tuple(r))
+        # the lift's sigma fixes each divisor of the base, while a carry's
+        # sigma, from an n0 that may equal a base, stays as it is
+        real_prime_map = v._prime_map
+
+        def identity_on_bases(f0, f):
+            sigma = real_prime_map(f0, f)
+            if any(f0 is base for base in v._BASES):
+                return {d: d for d in sigma}
+            return sigma
+
+        monkeypatch.setattr(v, "_prime_map", identity_on_bases)
     else:
         for base, (kind, edges) in list(v._BASE_WITNESSES.items()):
             monkeypatch.setitem(v._BASE_WITNESSES, base, (kind, edges[:-1]))
@@ -471,7 +569,11 @@ def test_broken_lift_is_an_uncertified_finding(monkeypatch, builds5000,
         # every image is found, so the Kuratowski check is what refuses
         assert refused == nonplanar and len(refused) == 89
     else:
-        assert set(refused) < set(nonplanar) and len(refused) == 42
+        # d -> d * n / n0 shifts each exponent of n0 on its own prime,
+        # which is a lift exactly when n0 divides n
+        assert set(refused) < set(nonplanar) and len(refused) == 72
+        assert refused == [n for n in nonplanar if n % v._dominated_base(
+            builds5000[n][0].exponents).n]
 
 
 def test_no_bisection_for_an_n_that_dominates_a_base(monkeypatch):
