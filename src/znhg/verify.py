@@ -11,16 +11,19 @@ runs every sweep check except iso.
 No isomorphism is searched for.  The iso check verifies the explicit
 map d -> n/d, exact because gcd(n/d, n/d') = n/lcm(d, d').
 
-A sweep evaluates each exponent pattern once.  Its ascending pass fixes
-n0, the first n of the range with each sorted pattern; n0 and every
-prime power go through _evaluate.  Every later n of the pattern builds
-its own hypergraph h and takes n0's rows, iso aside, once
+A sweep evaluates each exponent pattern once per process.  n0 of a
+sorted pattern is its smallest n, the exponents in descending order on
+2, 3, 5, ..., built without factoring; _pattern_base evaluates it through
+_evaluate and keeps the result for the life of the process, so n0 is the
+same for every range and every sweep.  Every other n of the pattern
+builds its own hypergraph h and takes n0's rows, iso aside, once
 metrics.verify_isomorphism accepts the prime relabelling sigma from h0
-onto h.  Each carried value is then certified by n0's checked
-certificate plus a checked isomorphism, and a refused sigma makes each
-carried row "uncertified".  A defect that depends on the primes
-themselves, not on the pattern alone, shows only where its n is
-evaluated: in analyze, or in a sweep that starts at that n.
+onto h; prime powers go through _evaluate on their own.  Each carried
+value is then certified by n0's checked certificate plus a checked
+isomorphism, and a refused sigma makes each carried row "uncertified".
+A defect that depends on the primes themselves, not on the pattern
+alone, shows only where its n is evaluated: in analyze, or at a
+pattern's smallest n, which carries it to every n of the pattern.
 
 Nor is planarity searched for.  Two vertices are compatible iff their
 deficiency sets {i : r_i < alpha_i}, the masks of
@@ -63,7 +66,6 @@ import functools
 import itertools
 import json
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 
@@ -78,9 +80,8 @@ ALL_CHECKS = ("diameter", "girth", "chromatic", "star", "hypertree",
               "planarity", "single-edge", "emptiness", "iso")
 DEFAULT_HOST_TREE_LIMIT = 9
 UNCERTIFIED = "uncertified"
-# values of n per task under jobs > 1; each task evaluates once every
-# pattern it meets, so larger blocks repeat fewer evaluations and smaller
-# ones spread the work more evenly
+# values of n per task under jobs > 1; each worker process evaluates once
+# every pattern it meets, and smaller blocks spread the work more evenly
 _BLOCK = 4096
 
 
@@ -640,40 +641,47 @@ def _carried(f: Factorization, h: Hypergraph, f0: Factorization,
     return f.n, rows, unknown
 
 
-def _pattern_bases(lo: int, hi: int):
-    """(f, f0) for each n of lo..hi in ascending order, each n factored
-    once: f0 is the factorization of the first n of the range with n's
-    sorted exponent pattern, and f itself for a prime power."""
-    first: dict[tuple[int, ...], Factorization] = {}
-    for n in range(lo, hi + 1):
-        f = factorize(n)
-        yield f, (first.setdefault(tuple(sorted(f.exponents)), f)
-                  if f.omega >= 2 else f)
+def _smallest(pattern: tuple[int, ...]) -> Factorization:
+    """The smallest n with the sorted exponent pattern, built without
+    factoring: the exponents, in descending order, on 2, 3, 5, ...."""
+    primes = (p for p in itertools.count(2)
+              if all(p % q for q in range(2, math.isqrt(p) + 1)))
+    factors = tuple(zip(primes, sorted(pattern, reverse=True)))
+    return Factorization(math.prod(p**a for p, a in factors), factors)
 
 
-def _sweep_pairs(pairs, checks, host_tree_limit: int):
-    """The outcome of each (f, f0) of pairs, in order.  n0 and each prime
-    power go through _sweep_one; a later n of n0's pattern is carried
-    from n0's outcome.  An n0 outside pairs is evaluated on first use,
-    to the same rows, so the outcomes do not depend on how the pairs of
-    a range are split."""
-    bases = {}
-    for f, f0 in pairs:
-        h = build_intersection_hypergraph(f)
-        if f0.n == f.n:
-            outcome = _sweep_one(f, h, checks, host_tree_limit)
-            if f.omega >= 2:
-                bases[f.n] = h, outcome
-            yield outcome
+@functools.cache
+def _pattern_base(pattern: tuple[int, ...], checks,
+                  host_tree_limit: int) -> tuple:
+    """(f0, h0, outcome0) for n0 = _smallest(pattern), evaluated through
+    _sweep_one.  Kept for the life of the process: one entry per
+    (pattern, checks, limit), and 269 patterns of two or more primes have
+    their smallest n within RANGE_LIMIT."""
+    f0 = _smallest(pattern)
+    h0 = build_intersection_hypergraph(f0)
+    return f0, h0, _sweep_one(f0, h0, checks, host_tree_limit)
+
+
+def _sweep_outcomes(fs, checks, host_tree_limit: int):
+    """The outcome of each factorization of fs, in order.  A prime power
+    goes through _sweep_one; any other n takes its pattern's base
+    outcome if it is n0, and is carried from it otherwise."""
+    for f in fs:
+        if f.omega < 2:
+            yield _sweep_one(f, build_intersection_hypergraph(f), checks,
+                             host_tree_limit)
             continue
-        if f0.n not in bases:
-            h0 = build_intersection_hypergraph(f0)
-            bases[f0.n] = h0, _sweep_one(f0, h0, checks, host_tree_limit)
-        yield _carried(f, h, f0, *bases[f0.n], checks)
+        f0, h0, outcome0 = _pattern_base(tuple(sorted(f.exponents)), checks,
+                                         host_tree_limit)
+        if f0.n == f.n:
+            yield outcome0
+        else:
+            yield _carried(f, build_intersection_hypergraph(f), f0, h0,
+                           outcome0, checks)
 
 
-def _sweep_block(pairs, checks, host_tree_limit: int) -> list:
-    return list(_sweep_pairs(pairs, checks, host_tree_limit))
+def _sweep_block(fs, checks, host_tree_limit: int) -> list:
+    return list(_sweep_outcomes(fs, checks, host_tree_limit))
 
 
 def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
@@ -681,19 +689,21 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
               jobs: int = 1) -> SweepResult:
     """Run the selected computed-vs-predicted comparisons for lo..hi.
 
-    One ascending pass factors each n and fixes n0, the first n of the
-    range with n's sorted exponent pattern.  Each n0 and each prime power
-    is evaluated on its own.  Every later n of a pattern builds its own
-    hypergraph h and takes n0's rows, iso aside, once
-    metrics.verify_isomorphism accepts the prime relabelling from h0 onto
-    h; a refused relabelling makes each of those rows "uncertified", a
-    finding.  iso is checked on every n.  Outcomes are folded in
-    ascending n for every jobs value: jobs > 1 hands contiguous blocks of
-    the pass to Pool.imap, which keeps order, and a block that meets a
-    pattern whose n0 lies in an earlier block evaluates that n0 again, so
-    output is identical across concurrency levels.  Memory does not grow
-    with the range beyond the blocks in flight and one entry per pattern.
-    jobs above the CPU count are capped to it.
+    One ascending pass factors each n.  Each prime power is evaluated on
+    its own.  Every other n has a sorted exponent pattern whose smallest
+    n, n0, _pattern_base evaluates once per process.  n0 takes that
+    outcome; any other n builds its own hypergraph h and takes n0's rows,
+    iso aside, once metrics.verify_isomorphism accepts the prime
+    relabelling from h0 onto h; a refused relabelling makes each of those
+    rows "uncertified", a finding.  iso is checked on every n.  So an
+    n's outcome depends neither on lo nor on the sweeps run before.
+    Outcomes are folded in ascending n for every jobs value: jobs > 1
+    hands contiguous blocks of the pass to Pool.imap, which keeps order,
+    and each worker process evaluates the patterns it meets, so output is
+    identical across concurrency levels.  Memory does not grow with the
+    range beyond the blocks in flight, and one base per pattern is kept
+    for the life of the process.  jobs above the CPU count are capped to
+    it.
     """
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")
@@ -720,15 +730,19 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
                 if not agree:
                     result.findings.append(Finding(n, check, comp, predicted))
 
-    pairs = _pattern_bases(lo, hi)
+    fs = map(factorize, range(lo, hi + 1))
     if jobs > 1:
+        # imported here: no other path starts a process, and the import
+        # is about an eighth of the time `import znhg.cli` takes
+        import multiprocessing
+
         block = functools.partial(_sweep_block, checks=checks,
                                   host_tree_limit=host_tree_limit)
-        blocks = iter(lambda: list(itertools.islice(pairs, _BLOCK)), [])
+        blocks = iter(lambda: list(itertools.islice(fs, _BLOCK)), [])
         with multiprocessing.Pool(jobs) as pool:
             fold(itertools.chain.from_iterable(pool.imap(block, blocks)))
     else:
-        fold(_sweep_pairs(pairs, checks, host_tree_limit))
+        fold(_sweep_outcomes(fs, checks, host_tree_limit))
     return result
 
 

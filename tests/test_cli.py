@@ -594,3 +594,24 @@ def test_planarity_on_z_n_never_imports_networkx(mode, imported):
     # other tests; one call of the LR oracle shows that the probe sees it.
     # Every subcommand runs, since networkx is only a test dependency
     assert _fresh_python(_NO_NETWORKX, mode).strip() == imported
+
+
+_MULTIPROCESSING = """
+import contextlib, io, os, sys
+from znhg import cli
+os.cpu_count = lambda: 2
+print("multiprocessing" in sys.modules)
+for argv in (["analyze", "60"], ["sweep", "2", "300", "--jobs", "1"],
+             ["export", "60", "--format", "json", "--target", "hypergraph"],
+             ["group", "dihedral", "4", "--json"],
+             ["sweep", "2", "300", "--jobs", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    print("multiprocessing" in sys.modules)
+"""
+
+
+def test_only_a_parallel_sweep_imports_multiprocessing():
+    # a fresh interpreter, since this one has imported it for other
+    # tests; two CPUs are claimed so that --jobs 2 is not capped to 1
+    assert _fresh_python(_MULTIPROCESSING).split() == ["False"] * 5 + ["True"]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -257,7 +258,7 @@ def test_run_sweep_bounds_jobs(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(v.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(v.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     checks = ("diameter", "hypertree")
     serial = render_sweep(run_sweep(2, 80, checks))
     assert render_sweep(run_sweep(2, 80, checks, jobs=1000)) == serial
@@ -332,10 +333,14 @@ def _per_n_sweep(builds, lo, hi, checks, host_tree_limit=9):
                          ids=["every check", "planarity"])
 def test_carried_sweep_matches_the_per_n_path(builds5000, checks):
     # rows carried by a checked prime relabelling are the rows the per-n
-    # path computes; 2..5000 spans two blocks under jobs > 1
-    want = sweep_to_json(_per_n_sweep(builds5000, 2, 5000, checks))
-    for jobs in (1, 2):
-        assert sweep_to_json(run_sweep(2, 5000, checks, jobs=jobs)) == want
+    # path computes; 2..5000 spans two blocks under jobs > 1, and a range
+    # that starts at 2311, first on a cold cache, carries most of its
+    # patterns from a smallest n that lies outside it
+    for lo in (2311, 2):
+        want = sweep_to_json(_per_n_sweep(builds5000, lo, 5000, checks))
+        for jobs in (1, 2):
+            assert sweep_to_json(run_sweep(lo, 5000, checks,
+                                           jobs=jobs)) == want
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -367,9 +372,10 @@ def test_refused_relabelling_makes_each_carried_row_uncertified(
 
 
 def test_a_break_at_a_base_shows_on_every_later_n_of_its_pattern(monkeypatch):
-    # 30 is the first n of (1, 1, 1) in 2..1000, so every later (1, 1, 1)
-    # n carries its broken diameter, whichever block evaluates it; a
-    # range that starts past 30 takes another n0 and shows nothing
+    # 30 is the smallest n of (1, 1, 1), so every later (1, 1, 1) n
+    # carries its broken diameter, whichever block evaluates it, and a
+    # range that starts past 30 still does: it carries from 30 too, kept
+    # from the sweeps before it or evaluated again on a cold cache
     from znhg import verify as v
 
     real_diameter = v._certified_diameter
@@ -386,7 +392,12 @@ def test_a_break_at_a_base_shows_on_every_later_n_of_its_pattern(monkeypatch):
         assert [(f.n, f.check, f.computed, f.predicted)
                 for f in r.findings] == want
     assert len(want) == 135
-    assert run_sweep(31, 1000, ("diameter",)).findings == []
+    for clear in (False, True):
+        if clear:
+            v._pattern_base.cache_clear()
+        r = run_sweep(31, 1000, ("diameter",))
+        assert [(f.n, f.check, f.computed, f.predicted)
+                for f in r.findings] == want[1:]
 
 
 def test_sweep_evaluates_each_pattern_once(monkeypatch):
@@ -408,6 +419,44 @@ def test_sweep_evaluates_each_pattern_once(monkeypatch):
     assert len(evaluated) == len(patterns) + len(prime_powers)
     assert evaluated == sorted(set(_first_of_pattern(fs).values())
                                | set(prime_powers))
+
+
+def test_smallest_is_the_first_n_of_each_pattern():
+    # built without factoring: the exponents, in descending order, on the
+    # first primes
+    from znhg import verify as v
+
+    firsts = {}
+    for f in factorize_range(2, 10**5):
+        if f.omega >= 2:
+            firsts.setdefault(tuple(sorted(f.exponents)), f)
+    assert len(firsts) == 143
+    assert [p for p, f in firsts.items() if v._smallest(p) != f] == []
+
+
+def test_successive_sweeps_evaluate_each_pattern_once_in_all(monkeypatch):
+    # a process keeps each pattern's base across sweeps, and a warm base
+    # gives the bytes a cold one gives
+    from znhg import verify as v
+
+    evaluated = []
+    real_evaluate = v._evaluate
+
+    def evaluate(f, *args):
+        evaluated.append(f.n)
+        return real_evaluate(f, *args)
+
+    monkeypatch.setattr(v, "_evaluate", evaluate)
+    ranges = [(2, 1500), (700, 3000)]
+    warm = [sweep_to_json(run_sweep(lo, hi, ALL_CHECKS)) for lo, hi in ranges]
+    fs = factorize_range(2, 3000)
+    prime_powers = [f.n for lo, hi in ranges for f in fs
+                    if f.omega == 1 and lo <= f.n <= hi]
+    assert sorted(evaluated) == sorted(
+        [*set(_first_of_pattern(fs).values()), *prime_powers])
+    for (lo, hi), text in zip(ranges, warm):
+        v._pattern_base.cache_clear()
+        assert sweep_to_json(run_sweep(lo, hi, ALL_CHECKS)) == text
 
 
 def test_lifted_witness_exists_exactly_for_nonplanar_patterns(builds5000):
