@@ -18,7 +18,8 @@ _evaluate and keeps the result for the life of the process, so n0 is the
 same for every range and every sweep.  Every other n of the pattern
 builds its own hypergraph h and takes n0's rows, iso aside, once
 metrics.verify_isomorphism accepts the prime relabelling sigma from h0
-onto h; prime powers go through _evaluate on their own.  Each carried
+onto h.  A prime power p^a is the pattern (a,): h0 and sigma are empty,
+which the check accepts exactly when h is empty too.  Each carried
 value is then certified by n0's checked certificate plus a checked
 isomorphism, and a refused sigma makes each carried row "uncertified".
 A defect that depends on the primes themselves, not on the pattern
@@ -80,8 +81,8 @@ ALL_CHECKS = ("diameter", "girth", "chromatic", "star", "hypertree",
               "planarity", "single-edge", "emptiness", "iso")
 DEFAULT_HOST_TREE_LIMIT = 9
 UNCERTIFIED = "uncertified"
-# values of n per task under jobs > 1; each worker process evaluates once
-# every pattern it meets, and smaller blocks spread the work more evenly
+# Pool.imap's chunksize under jobs > 1, in values of n per task; each worker
+# evaluates each pattern it meets once, and smaller chunks even out the load
 _BLOCK = 4096
 
 
@@ -627,17 +628,20 @@ def _relabelling(f0: Factorization, h0: Hypergraph, f: Factorization) -> dict:
 
 
 def _carried(f: Factorization, h: Hypergraph, f0: Factorization,
-             h0: Hypergraph, outcome0, checks) -> tuple[int, list, int]:
-    """n's outcome from n0's: every row but iso, if verify_isomorphism
-    accepts the prime relabelling from h0 onto h, and otherwise each of
-    those rows with the computed value UNCERTIFIED; iso is n's own."""
+             h0: Hypergraph, outcome0) -> tuple[int, list, int]:
+    """n's outcome from n0's, row by row: the iso row is n's own; every
+    other row is kept if verify_isomorphism accepts the prime relabelling
+    from h0 onto h, and otherwise gets the computed value UNCERTIFIED."""
     _, rows0, unknown = outcome0
-    rows = [row for row in rows0 if row[0] != "iso"]
-    if not metrics.verify_isomorphism(h0, h, _relabelling(f0, h0, f)):
-        rows = [_row(check, fld, UNCERTIFIED, predicted, predicted_text=text)
-                for check, fld, _, predicted, _, _, text in rows]
-    if "iso" in checks:
-        rows.append(_iso_row(f, h))
+    accepted = metrics.verify_isomorphism(h0, h, _relabelling(f0, h0, f))
+    rows = []
+    for row in rows0:
+        check, fld, _, predicted, _, _, text = row
+        if check == "iso":
+            row = _iso_row(f, h)
+        elif not accepted:
+            row = _row(check, fld, UNCERTIFIED, predicted, predicted_text=text)
+        rows.append(row)
     return f.n, rows, unknown
 
 
@@ -655,33 +659,23 @@ def _pattern_base(pattern: tuple[int, ...], checks,
                   host_tree_limit: int) -> tuple:
     """(f0, h0, outcome0) for n0 = _smallest(pattern), evaluated through
     _sweep_one.  Kept for the life of the process: one entry per
-    (pattern, checks, limit), and 269 patterns of two or more primes have
-    their smallest n within RANGE_LIMIT."""
+    (pattern, checks, limit), and 288 patterns have their smallest n
+    within RANGE_LIMIT, 269 of two or more primes and the 19 prime powers
+    2^1..2^19."""
     f0 = _smallest(pattern)
     h0 = build_intersection_hypergraph(f0)
     return f0, h0, _sweep_one(f0, h0, checks, host_tree_limit)
 
 
-def _sweep_outcomes(fs, checks, host_tree_limit: int):
-    """The outcome of each factorization of fs, in order.  A prime power
-    goes through _sweep_one; any other n takes its pattern's base
-    outcome if it is n0, and is carried from it otherwise."""
-    for f in fs:
-        if f.omega < 2:
-            yield _sweep_one(f, build_intersection_hypergraph(f), checks,
-                             host_tree_limit)
-            continue
-        f0, h0, outcome0 = _pattern_base(tuple(sorted(f.exponents)), checks,
-                                         host_tree_limit)
-        if f0.n == f.n:
-            yield outcome0
-        else:
-            yield _carried(f, build_intersection_hypergraph(f), f0, h0,
-                           outcome0, checks)
-
-
-def _sweep_block(fs, checks, host_tree_limit: int) -> list:
-    return list(_sweep_outcomes(fs, checks, host_tree_limit))
+def _sweep_outcome(n: int, checks, host_tree_limit: int) -> tuple:
+    """n's outcome: its pattern's base outcome if n is n0, and otherwise
+    carried from it."""
+    f = factorize(n)
+    f0, h0, outcome0 = _pattern_base(tuple(sorted(f.exponents)), checks,
+                                     host_tree_limit)
+    if f0.n == n:
+        return outcome0
+    return _carried(f, build_intersection_hypergraph(f), f0, h0, outcome0)
 
 
 def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
@@ -689,21 +683,21 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
               jobs: int = 1) -> SweepResult:
     """Run the selected computed-vs-predicted comparisons for lo..hi.
 
-    One ascending pass factors each n.  Each prime power is evaluated on
-    its own.  Every other n has a sorted exponent pattern whose smallest
-    n, n0, _pattern_base evaluates once per process.  n0 takes that
-    outcome; any other n builds its own hypergraph h and takes n0's rows,
-    iso aside, once metrics.verify_isomorphism accepts the prime
-    relabelling from h0 onto h; a refused relabelling makes each of those
-    rows "uncertified", a finding.  iso is checked on every n.  So an
-    n's outcome depends neither on lo nor on the sweeps run before.
-    Outcomes are folded in ascending n for every jobs value: jobs > 1
-    hands contiguous blocks of the pass to Pool.imap, which keeps order,
-    and each worker process evaluates the patterns it meets, so output is
-    identical across concurrency levels.  Memory does not grow with the
-    range beyond the blocks in flight, and one base per pattern is kept
-    for the life of the process.  jobs above the CPU count are capped to
-    it.
+    _sweep_outcome is mapped over lo..hi.  It factors n, whose sorted
+    exponent pattern has a smallest n, n0, that _pattern_base evaluates
+    once per process; a prime power p^a has the pattern (a,) and n0 = 2^a.
+    n0 takes that outcome; any other n builds its own hypergraph h and
+    takes n0's rows, iso aside, once metrics.verify_isomorphism accepts
+    the prime relabelling from h0 onto h; a refused relabelling makes
+    each of those rows "uncertified", a finding.  iso is checked on every
+    n with a nonempty hypergraph.  So an n's outcome depends neither on
+    lo nor on the sweeps run before.  Outcomes are folded in ascending n
+    for every jobs value: jobs > 1 maps the same function with Pool.imap,
+    which keeps order, _BLOCK values of n per task, and each worker
+    process evaluates the patterns it meets, so output is identical
+    across concurrency levels.  Memory does not grow with the range: one
+    base per pattern is kept for the life of the process.  jobs above
+    the CPU count are capped to it.
     """
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")
@@ -730,19 +724,17 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
                 if not agree:
                     result.findings.append(Finding(n, check, comp, predicted))
 
-    fs = map(factorize, range(lo, hi + 1))
+    outcome = functools.partial(_sweep_outcome, checks=checks,
+                                host_tree_limit=host_tree_limit)
     if jobs > 1:
         # imported here: no other path starts a process, and the import
         # is about an eighth of the time `import znhg.cli` takes
         import multiprocessing
 
-        block = functools.partial(_sweep_block, checks=checks,
-                                  host_tree_limit=host_tree_limit)
-        blocks = iter(lambda: list(itertools.islice(fs, _BLOCK)), [])
         with multiprocessing.Pool(jobs) as pool:
-            fold(itertools.chain.from_iterable(pool.imap(block, blocks)))
+            fold(pool.imap(outcome, range(lo, hi + 1), _BLOCK))
     else:
-        fold(_sweep_outcomes(fs, checks, host_tree_limit))
+        fold(map(outcome, range(lo, hi + 1)))
     return result
 
 

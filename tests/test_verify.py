@@ -164,14 +164,22 @@ def test_z_n_path_runs_no_isomorphism_search(monkeypatch):
 
 def test_iso_check_verifies_the_explicit_map(monkeypatch):
     # the intersection hypergraph of 30 is isomorphic to its co-maximal
-    # hypergraph, but not through d -> 30/d, so the check must fail
+    # hypergraph, but not through d -> 30/d, so the check must fail; and
+    # each n gets its own iso row, not the one of the n0 it carries from
     from znhg import verify as v
 
+    real_comaximal = v.build_comaximal_hypergraph
     monkeypatch.setattr(v, "build_comaximal_hypergraph",
                         build_intersection_hypergraph)
     r = run_sweep(30, 30, ("iso",))
     assert [(f.n, f.check, f.computed) for f in r.findings] == [
         (30, "iso", "NOT isomorphic")]
+    monkeypatch.setattr(v, "build_comaximal_hypergraph", lambda f: (
+        build_intersection_hypergraph if f.n == 42 else real_comaximal)(f))
+    v._pattern_base.cache_clear()
+    r = run_sweep(2, 60, ("iso",))
+    assert [(f.n, f.check, f.computed) for f in r.findings] == [
+        (42, "iso", "NOT isomorphic")]
 
 
 def test_sweep_counts_unknown_hypertrees():
@@ -271,18 +279,19 @@ def test_run_sweep_bounds_jobs(monkeypatch):
 
 
 def _first_of_pattern(fs) -> dict:
-    """n -> the first n of fs with its sorted exponent pattern, for each
-    n with two or more primes."""
+    """n -> the first n of fs with its sorted exponent pattern; a prime
+    power p^a has the pattern (a,)."""
     first = {}
     return {f.n: first.setdefault(tuple(sorted(f.exponents)), f.n)
-            for f in fs if f.omega >= 2}
+            for f in fs}
 
 
 def test_sweep_factors_each_n_where_it_evaluates_it(monkeypatch):
     # one ascending pass factors each n once, with no list of the range
     # built first; _evaluate runs right after the first n of each
-    # pattern and after each prime power, and on no other n.  A range
-    # past the limit is refused before anything is factored
+    # pattern, prime powers included, and on no other n.  Under jobs > 1
+    # the workers factor their own n, so the parent factors none.  A
+    # range past the limit is refused before anything is factored
     from znhg import verify as v
     from znhg.arith import RANGE_LIMIT
 
@@ -303,11 +312,17 @@ def test_sweep_factors_each_n_where_it_evaluates_it(monkeypatch):
     run_sweep(2, 60, ("diameter", "emptiness"))
     assert events == [(kind, n) for n in range(2, 61)
                       for kind in ("factor", "evaluate")
-                      if kind == "factor" or firsts.get(n, n) == n]
-    assert sum(kind == "evaluate" for kind, _ in events) == 32
+                      if kind == "factor" or firsts[n] == n]
+    assert sum(kind == "evaluate" for kind, _ in events) == 12
     events.clear()
     with pytest.raises(ValueError, match="limited"):
         run_sweep(2, RANGE_LIMIT + 1, ("emptiness",))
+    assert events == []
+    monkeypatch.setattr(v.os, "cpu_count", lambda: 2)
+    run_sweep(2, 60, ("diameter", "emptiness"), jobs=2)
+    assert events == []
+    with pytest.raises(ValueError, match="limited"):
+        run_sweep(2, RANGE_LIMIT + 1, ("emptiness",), jobs=2)
     assert events == []
 
 
@@ -347,8 +362,9 @@ def test_carried_sweep_matches_the_per_n_path(builds5000, checks):
 def test_refused_relabelling_makes_each_carried_row_uncertified(
         monkeypatch, builds5000, jobs):
     # sigma = identity maps h0 onto itself, not onto n's hypergraph, so
-    # the check refuses it on every carried n; the rows of each n0 and of
-    # each prime power, and every iso row, stay as the per-n path has them
+    # the check refuses it on every carried n but a prime power, whose h0
+    # and sigma are empty; the rows of each n0 and of each prime power,
+    # and every iso row, stay as the per-n path has them
     from znhg import verify as v
 
     reference = _per_n_sweep(builds5000, 2, 1000, ALL_CHECKS)
@@ -356,7 +372,7 @@ def test_refused_relabelling_makes_each_carried_row_uncertified(
     firsts = _first_of_pattern(f for f, _ in builds5000.values())
     want = []
     for n in range(2, 1001):
-        if firsts.get(n, n) == n:
+        if firsts[n] == n or builds5000[n][0].omega < 2:
             continue
         _, rows, _ = v._sweep_one(*builds5000[n], ALL_CHECKS, 9)
         want += [(n, check, "uncertified", predicted)
@@ -369,6 +385,21 @@ def test_refused_relabelling_makes_each_carried_row_uncertified(
     assert {check for _, check, _, _ in want} == set(ALL_CHECKS) - {"iso"}
     assert r.compared == reference.compared
     assert r.hypertree_unknown == reference.hypertree_unknown
+
+
+def test_a_prime_power_with_a_wrong_build_is_an_uncertified_finding(
+        monkeypatch):
+    # 9 carries the pattern (2,) from 4, whose hypergraph is empty; the
+    # empty relabelling is refused onto the nonempty hypergraph of 6
+    from znhg import verify as v
+
+    real_build = v.build_intersection_hypergraph
+    six = real_build(v.factorize(6))
+    monkeypatch.setattr(v, "build_intersection_hypergraph",
+                        lambda f: six if f.n == 9 else real_build(f))
+    r = run_sweep(2, 30, ("emptiness",))
+    assert [(f.n, f.check, f.computed, f.predicted)
+            for f in r.findings] == [(9, "emptiness", "uncertified", "True")]
 
 
 def test_a_break_at_a_base_shows_on_every_later_n_of_its_pattern(monkeypatch):
@@ -414,11 +445,9 @@ def test_sweep_evaluates_each_pattern_once(monkeypatch):
 
     monkeypatch.setattr(v, "_evaluate", evaluate)
     assert run_sweep(2, 5000, ("diameter", "emptiness")).total_findings == 0
-    patterns = {tuple(sorted(f.exponents)) for f in fs if f.omega >= 2}
-    prime_powers = [f.n for f in fs if f.omega == 1]
-    assert len(evaluated) == len(patterns) + len(prime_powers)
-    assert evaluated == sorted(set(_first_of_pattern(fs).values())
-                               | set(prime_powers))
+    patterns = {tuple(sorted(f.exponents)) for f in fs}
+    assert len(evaluated) == len(patterns)
+    assert evaluated == sorted(set(_first_of_pattern(fs).values()))
 
 
 def test_smallest_is_the_first_n_of_each_pattern():
@@ -450,10 +479,7 @@ def test_successive_sweeps_evaluate_each_pattern_once_in_all(monkeypatch):
     ranges = [(2, 1500), (700, 3000)]
     warm = [sweep_to_json(run_sweep(lo, hi, ALL_CHECKS)) for lo, hi in ranges]
     fs = factorize_range(2, 3000)
-    prime_powers = [f.n for lo, hi in ranges for f in fs
-                    if f.omega == 1 and lo <= f.n <= hi]
-    assert sorted(evaluated) == sorted(
-        [*set(_first_of_pattern(fs).values()), *prime_powers])
+    assert sorted(evaluated) == sorted(set(_first_of_pattern(fs).values()))
     for (lo, hi), text in zip(ranges, warm):
         v._pattern_base.cache_clear()
         assert sweep_to_json(run_sweep(lo, hi, ALL_CHECKS)) == text
