@@ -15,7 +15,11 @@ exponent of the i-th prime in d is below alpha_i.  lcm(d, d') = n iff no
 prime is deficient in both, so trivial intersection is disjointness of
 masks.  A vertex of the second carries its support mask, bit i set iff
 the i-th prime divides d, and gcd(d, d') = 1 iff the supports are
-disjoint.  d -> n/d swaps the two masks.
+disjoint.  d -> n/d swaps the two masks.  Both masks of every divisor
+come from one table of (d, deficiency mask, support mask) rows, ascending
+by d; each builder filters its own column, and the table of the last n
+is kept, so building both hypergraphs of one n enumerates its divisors
+once and memory does not grow with the number of n built.
 
 Either way compatibility depends on the mask alone, and vertices of one
 mask class have the same neighbours and are never compatible with each
@@ -185,34 +189,40 @@ def comaximal(d1: int, d2: int, f: Factorization) -> bool:
     return gcd(d1, d2) == 1
 
 
-def _masked_divisors(f: Factorization,
-                     bit: Callable[[int, int], bool]) -> list[tuple[int, int]]:
-    """(d, mask) for the divisors d of n with 0 < mask < full, ascending
-    by d, where bit i of the mask is bit(r, alpha_i) for the exponent r
-    of the i-th prime in d.  Divisors are built from their exponents as
-    in arith.divisors."""
-    pairs = [(1, 0)]
+@functools.lru_cache(maxsize=1)
+def _divisor_table(f: Factorization) -> tuple[tuple[int, int, int], ...]:
+    """(d, deficiency mask, support mask) for every divisor d of n,
+    ascending by d.  Bit i of the deficiency mask is set iff the exponent
+    r of the i-th prime in d is below alpha_i, and bit i of the support
+    mask iff r > 0.  Divisors are built from their exponents as in
+    arith.divisors.  One entry is kept, so building both hypergraphs of
+    one n enumerates its divisors once.
+    """
+    rows = [(1, 0, 0)]
     for i, (p, a) in enumerate(f.factors):
-        steps = [(p**r, bit(r, a) << i) for r in range(a + 1)]
-        pairs = [(d * q, m | b) for d, m in pairs for q, b in steps]
-    full = (1 << f.omega) - 1
-    return sorted((d, m) for d, m in pairs if 0 < m < full)
+        steps = [(p**r, (r < a) << i, (r > 0) << i) for r in range(a + 1)]
+        rows = [(d * q, m | b, s | c) for d, m, s in rows for q, b, c in steps]
+    rows.sort()
+    return tuple(rows)
 
 
 def vertex_set(f: Factorization) -> list[tuple[int, int]]:
     """Vertices of the trivial-intersection hypergraph as (generator,
-    deficiency mask) pairs, ascending by generator.
+    deficiency mask) pairs, ascending by generator: the deficiency column
+    of the divisor table.
 
     <d> qualifies iff its mask is neither full (some exponent is full,
     which excludes d = 1) nor 0 (d = n): then any divisor whose mask is
     the complement is a partner.  Empty when omega(n) <= 1.
     """
-    return _masked_divisors(f, lambda r, a: r < a)
+    full = (1 << f.omega) - 1
+    return [(d, m) for d, m, _ in _divisor_table(f) if 0 < m < full]
 
 
 def support_set(f: Factorization) -> list[tuple[int, int]]:
     """Vertices of the co-maximal hypergraph as (generator, support mask)
-    pairs, ascending by generator.
+    pairs, ascending by generator: the support column of the divisor
+    table.
 
     <d> is coprime to some other proper nontrivial divisor iff some prime
     p of n does not divide d, that is iff its support is not full; a
@@ -221,7 +231,8 @@ def support_set(f: Factorization) -> list[tuple[int, int]]:
     Conversely every prime of a coprime partner e is a prime of n that
     does not divide d.  Empty when omega(n) <= 1.
     """
-    return _masked_divisors(f, lambda r, a: r > 0)
+    full = (1 << f.omega) - 1
+    return [(d, s) for d, _, s in _divisor_table(f) if 0 < s < full]
 
 
 def intersection_edge_count(f: Factorization) -> int:
@@ -284,17 +295,18 @@ def _build_on_mask_classes(pairs: list[tuple[int, int]]) -> Hypergraph:
     product of its classes' member lists.  The class cliques come from
     _class_cliques, enumerated once per set of distinct masks.
     """
+    labels, vertex_masks = tuple(zip(*pairs)) or ((), ())
     members: dict[int, list[int]] = {}
-    for i, (_, m) in enumerate(pairs):
+    for i, m in enumerate(vertex_masks):
         members.setdefault(m, []).append(i)
     masks = tuple(sorted(members))
     lists = [members[m] for m in masks]
     edges = []
     for classes in _class_cliques(masks):
-        edges += [tuple(sorted(e))
-                  for e in product(*(lists[c] for c in classes))]
+        edges += map(tuple, map(sorted, product(
+            *map(lists.__getitem__, classes))))
     edges.sort()
-    return Hypergraph(tuple(d for d, _ in pairs), tuple(edges))
+    return Hypergraph(labels, tuple(edges))
 
 
 def build_intersection_hypergraph(f: Factorization) -> Hypergraph:

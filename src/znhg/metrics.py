@@ -503,13 +503,12 @@ def isomorphic(h1: Hypergraph, h2: Hypergraph):
 
 def verify_isomorphism(h1: Hypergraph, h2: Hypergraph, mapping: dict) -> bool:
     """Check a claimed witness bijection maps hyperedges onto hyperedges."""
-    if set(mapping.keys()) != set(h1.vertices):
+    if mapping.keys() != set(h1.vertices):
         return False
-    if set(mapping.values()) != set(h2.vertices):
-        return False
-    if len(set(mapping.values())) != len(mapping):
+    values = set(mapping.values())
+    if values != set(h2.vertices) or len(values) != len(mapping):
         return False
     index2 = {lab: i for i, lab in enumerate(h2.vertices)}
     to2 = [index2[mapping[lab]] for lab in h1.vertices]
-    image = {frozenset(to2[i] for i in e) for e in h1.edges}
+    image = {frozenset(map(to2.__getitem__, e)) for e in h1.edges}
     return image == set(map(frozenset, h2.edges))

@@ -366,16 +366,27 @@ def _by_exponent(exponents: tuple[int, ...]) -> list[int]:
     return sorted(range(len(exponents)), key=lambda i: -exponents[i])
 
 
-def _prime_map(f0: Factorization, f: Factorization) -> dict:
-    """sigma on the divisors of n0: the i-th prime of n0 goes to the i-th
-    prime of n, both in _by_exponent order, and a divisor goes where its
-    prime powers go."""
-    sigma = {1: 1}
-    for i, j in zip(_by_exponent(f0.exponents), _by_exponent(f.exponents)):
-        (p, a), (q, _) = f0.factors[i], f.factors[j]
-        sigma = {d * p**k: e * q**k for d, e in sigma.items()
-                 for k in range(a + 1)}
-    return sigma
+@functools.cache
+def _exponent_vectors(f0: Factorization) -> dict:
+    """Each divisor of n0 -> its exponents on n0's primes in _by_exponent
+    order.  Kept for the life of the process: one entry per n0, a pattern
+    base or one of _BASES."""
+    vectors = {1: ()}
+    for i in _by_exponent(f0.exponents):
+        p, a = f0.factors[i]
+        vectors = {d * p**k: r + (k,) for d, r in vectors.items()
+                   for k in range(a + 1)}
+    return vectors
+
+
+def _prime_map(f0: Factorization, f: Factorization, labels) -> dict:
+    """sigma on the labels that divide n0: the i-th prime of n0 goes to the
+    i-th prime of n, both in _by_exponent order, and a divisor goes where
+    its prime powers go."""
+    vectors = _exponent_vectors(f0)
+    primes = [f.factors[j][0] for j in _by_exponent(f.exponents)]
+    return {d: math.prod(map(pow, primes, vectors[d]))
+            for d in labels if d in vectors}
 
 
 def _dominated_base(exponents: tuple[int, ...]) -> Factorization | None:
@@ -394,16 +405,16 @@ def _lifted_planarity(f: Factorization,
     """A checked nonplanarity certificate lifted from a base, or None.
 
     A vertex label d of the witness of the base n0 goes to
-    sigma(d) * n / sigma(n0), sigma being _prime_map(f0, f); a hyperedge
-    label goes to the first hyperedge holding the image of its vertices,
-    which by maximality meets the image exactly there: the least index on
-    the hyperedge lists of every image vertex.  A label without an image
-    refuses the lift.
+    sigma(d) * n / sigma(n0), sigma being _prime_map's on the divisors of
+    n0; a hyperedge label goes to the first hyperedge holding the image of
+    its vertices, which by maximality meets the image exactly there: the
+    least index on the hyperedge lists of every image vertex.  A label
+    without an image refuses the lift.
     """
     f0 = _dominated_base(f.exponents)
     if f0 is None:
         return None
-    sigma = _prime_map(f0, f)
+    sigma = _prime_map(f0, f, _exponent_vectors(f0))
     cofactor = f.n // sigma[f0.n]
     index = {d: i for i, d in enumerate(h.vertices)}
     vertex = {d: index.get(e * cofactor) for d, e in sigma.items()}
@@ -622,9 +633,9 @@ def _sweep_one(f: Factorization, h: Hypergraph, checks,
 
 
 def _relabelling(f0: Factorization, h0: Hypergraph, f: Factorization) -> dict:
-    """_prime_map from n0 to n on h0's labels."""
-    sigma = _prime_map(f0, f)
-    return {d: sigma[d] for d in h0.vertices}
+    """_prime_map from n0 to n on h0's labels.  A label that is no divisor
+    of n0 has no image, and verify_isomorphism refuses the partial map."""
+    return _prime_map(f0, f, h0.vertices)
 
 
 def _carried(f: Factorization, h: Hypergraph, f0: Factorization,
@@ -696,8 +707,10 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
     which keeps order, _BLOCK values of n per task, and each worker
     process evaluates the patterns it meets, so output is identical
     across concurrency levels.  Memory does not grow with the range: one
-    base per pattern is kept for the life of the process.  jobs above
-    the CPU count are capped to it.
+    base and one table of divisor exponents per pattern (and per base of
+    the planarity lift) are kept for the life of the process, and one
+    divisor table, of the last n built.  jobs above the CPU count are
+    capped to it.
     """
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")

@@ -15,6 +15,7 @@ from znhg.arith import CapabilityError, divisors, factorize, factorize_range
 from znhg.groups import Subgroup, cyclic, set_product, zn_subgroup_of_divisor
 from znhg.hypergraph import (MAX_HYPEREDGES, MAX_VERTICES, Hypergraph,
                              _build_on_mask_classes, _class_cliques,
+                             _divisor_table,
                              build_comaximal_hypergraph,
                              build_intersection_hypergraph, canonical_hypergraph,
                              check_buildable, comaximal, enumerate_maximal_edges,
@@ -190,6 +191,36 @@ def test_class_clique_cache_holds_one_entry_per_omega():
     _class_cliques.cache_clear()
     run_sweep(2, 7000, [c for c in ALL_CHECKS if c != "planarity"])
     assert _class_cliques.cache_info().currsize == 5
+
+
+def test_divisor_table_masks_match_the_exponents_to_10000():
+    for f in factorize_range(2, 10000):
+        rows = _divisor_table(f)
+        assert [d for d, _, _ in rows] == divisors(f), f.n
+        for d, deficiency, support in rows:
+            assert deficiency == sum(1 << i for i, (p, a)
+                                     in enumerate(f.factors) if d % p**a)
+            assert support == sum(1 << i for i, p in enumerate(f.primes)
+                                  if d % p == 0)
+
+
+def test_interleaved_builds_equal_fresh_builds():
+    fs = list(factorize_range(2, 1500))
+    for f, g in zip(fs, fs[1:]):
+        got = (build_intersection_hypergraph(f),
+               build_comaximal_hypergraph(g),
+               build_comaximal_hypergraph(f))
+        fresh = []
+        for build, x in ((build_intersection_hypergraph, f),
+                         (build_comaximal_hypergraph, g),
+                         (build_comaximal_hypergraph, f)):
+            _divisor_table.cache_clear()
+            fresh.append(build(x))
+        assert got == tuple(fresh), f.n
+
+
+def test_divisor_table_cache_holds_one_entry():
+    assert _divisor_table.cache_info().maxsize == 1
 
 
 def test_enumerate_maximal_edges_complete_triple():

@@ -506,6 +506,13 @@ def test_verify_isomorphism_rejects_wrong_maps():
     assert not verify_isomorphism(path, edge, {"a": "x", "b": "y", "c": "x"})
 
 
+def test_verify_isomorphism_refuses_a_map_not_defined_on_h1():
+    # onto and injective, but "c" has no image: refused, not a KeyError
+    path = Hypergraph(("a", "b", "c"), ((0, 1), (1, 2)))
+    edge = Hypergraph(("x", "y"), ((0, 1),))
+    assert not verify_isomorphism(path, edge, {"a": "x", "b": "y"})
+
+
 def test_duality_map_is_accepted_and_a_dropped_hyperedge_refused_to_2000():
     for f in factorize_range(2, 2000):
         h, co = build_intersection_hypergraph(f), build_comaximal_hypergraph(f)

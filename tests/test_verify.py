@@ -402,6 +402,32 @@ def test_a_prime_power_with_a_wrong_build_is_an_uncertified_finding(
             for f in r.findings] == [(9, "emptiness", "uncertified", "True")]
 
 
+def test_a_label_foreign_to_n0_is_an_uncertified_finding(monkeypatch):
+    # 7 divides no n of the pattern (1, 1) at 6, so no relabelling of h0
+    # exists; 10 carries from 6 and reports each row as uncertified
+    from znhg import verify as v
+    from znhg.hypergraph import Hypergraph
+
+    real_build = v.build_intersection_hypergraph
+    foreign = Hypergraph((2, 7), ((0, 1),))
+    monkeypatch.setattr(v, "build_intersection_hypergraph",
+                        lambda f: foreign if f.n == 6 else real_build(f))
+    r = run_sweep(2, 12, ("emptiness", "single-edge"))
+    assert [(f.n, f.check, f.computed, f.predicted) for f in r.findings] == [
+        (10, "emptiness", "uncertified", "False"),
+        (10, "single-edge", "uncertified", "True")]
+
+
+def test_exponent_table_holds_one_entry_per_pattern_or_base():
+    from znhg import verify as v
+
+    v._exponent_vectors.cache_clear()
+    run_sweep(2, 5000)
+    patterns = {tuple(sorted(f.exponents)) for f in factorize_range(2, 5000)}
+    assert 0 < v._exponent_vectors.cache_info().currsize <= (
+        len(patterns) + len(v._BASES))
+
+
 def test_a_break_at_a_base_shows_on_every_later_n_of_its_pattern(monkeypatch):
     # 30 is the smallest n of (1, 1, 1), so every later (1, 1, 1) n
     # carries its broken diameter, whichever block evaluates it, and a
@@ -549,8 +575,8 @@ def test_prime_map_lifts_compatibility_exactly():
             if not _dominates(f.exponents, f0.exponents):
                 continue
             pairs += 1
-            sigma = v._prime_map(f0, f)
             divisors = _divisors(f0.n)
+            sigma = v._prime_map(f0, f, divisors)
             assert sorted(sigma) == divisors
             cofactor, rest = divmod(f.n, sigma[f0.n])
             assert rest == 0, (f.n, f0.n)
@@ -616,8 +642,8 @@ def test_broken_lift_is_an_uncertified_finding(monkeypatch, builds5000,
         # sigma, from an n0 that may equal a base, stays as it is
         real_prime_map = v._prime_map
 
-        def identity_on_bases(f0, f):
-            sigma = real_prime_map(f0, f)
+        def identity_on_bases(f0, f, labels):
+            sigma = real_prime_map(f0, f, labels)
             if any(f0 is base for base in v._BASES):
                 return {d: d for d in sigma}
             return sigma
