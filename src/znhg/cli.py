@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import metrics, topology, verify
@@ -123,7 +122,7 @@ def cmd_group(args) -> int:
             },
             "isomorphic": same,
         }
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(verify.dumps(doc))
     else:
         print(f"{args.kind}({args.n}), order {group.order}")
         print(f"intersection hypergraph: {len(inter.vertices)} vertices, "
@@ -154,7 +153,7 @@ def cmd_export(args) -> int:
             {"schema": SCHEMA, "kind": "hypergraph", "n": args.n},
             h.vertices, h.edge_label_sets()) + "\n"
     else:
-        names = [json.dumps(name) for name in topology.incidence_names(h)]
+        names = list(map(verify.dumps, topology.incidence_names(h)))
         text = verify.json_with_label_arrays(
             {"schema": SCHEMA, "kind": "incidence", "n": args.n}, names,
             ((names[u], names[v])

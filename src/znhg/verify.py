@@ -69,6 +69,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from . import classify, metrics, topology
 from .arith import Factorization, check_range, factorize
@@ -86,31 +87,69 @@ UNCERTIFIED = "uncertified"
 _BLOCK = 4096
 
 
-def _json_array(items, indent: str) -> str:
-    """The already encoded items laid out as json.dumps(indent=2) lays
-    out a list whose closing bracket sits at indent."""
-    inner = "\n" + indent + "  "
-    body = ("," + inner).join(items)
-    return f"[{inner}{body}\n{indent}]" if body else "[]"
+# each scalar type's C-level encoder, keyed by exact type, so bool, whose
+# type is not int, never reaches int.__repr__
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: {False: "false", True: "true"}.__getitem__,
+            type(None): {None: "null"}.__getitem__}
+
+
+def dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for the
+    types a result document holds: dicts with str keys, lists, tuples,
+    str, int, bool and None; anything else raises TypeError.  indent is
+    the newline and the indentation the value itself sits at.
+
+    Containers are laid out here and scalars encoded by C functions: with
+    indent, json.dumps runs CPython's pure-Python encoder, which costs
+    more than this on every document the package writes."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        # a loop and map, not comprehensions, which in Python 3.11 would
+        # make value and inner cell variables, slower to load;
+        # encode_basestring_ascii raises TypeError on a key that is no str
+        items = []
+        for key in sorted(value):
+            items.append(f"{encode_basestring_ascii(key)}: "
+                         f"{dumps(value[key], inner)}")
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        body = ("," + inner).join(map(dumps, value,
+                                      itertools.repeat(inner)))
+        return "[" + inner + body + indent + "]"
+    encode = _SCALARS.get(kind)
+    if encode is None:
+        raise TypeError(f"{kind.__name__} is not written to JSON")
+    return encode(value)
 
 
 def json_with_label_arrays(doc: dict, vertices, edges,
                            keys=("vertices", "edges")) -> str:
-    """json.dumps(doc, indent=2, sort_keys=True) of doc with two top-level
-    keys added: keys[0] lists the distinct labels in vertices, keys[1]
-    the label sequences in edges.  Labels are integers, or strings that
-    are already JSON-encoded."""
-    parts = {key: json.dumps(value, indent=2, sort_keys=True)
-             .replace("\n", "\n  ") for key, value in doc.items()}
-    # written by hand: with indent, json.dumps runs CPython's pure-Python
-    # encoder, about 1 us per integer; each label is converted to decimal
-    # once, which for labels of hundreds of digits is most of the cost
+    """dumps(doc) with two top-level keys added: keys[0] lists the
+    distinct labels in vertices, keys[1] the label sequences in edges,
+    none of them empty.  Labels are integers, or strings that are already
+    JSON-encoded.
+
+    Each label is converted to decimal once, which for labels of hundreds
+    of digits is most of the cost, and the arrays are written by str.join
+    alone: one join per label sequence, and one over the sequences."""
+    parts = {key: dumps(value, "\n  ") for key, value in doc.items()}
     text = {d: str(d) for d in vertices}
-    parts[keys[0]] = _json_array(text.values(), "  ")
-    parts[keys[1]] = _json_array(
-        (_json_array(map(text.__getitem__, e), "    ") for e in edges), "  ")
-    return ("{\n" + ",\n".join(f"  {json.dumps(key)}: {parts[key]}"
-                                for key in sorted(parts)) + "\n}")
+    labels = ",\n    ".join(text.values())
+    rows = "\n    ],\n    [\n      ".join(
+        map(",\n      ".join, map(functools.partial(map, text.__getitem__),
+                                  edges)))
+    parts[keys[0]] = f"[\n    {labels}\n  ]" if labels else "[]"
+    parts[keys[1]] = f"[\n    [\n      {rows}\n    ]\n  ]" if rows else "[]"
+    return ("{\n" + ",\n".join(f"  {encode_basestring_ascii(key)}: "
+                                 f"{parts[key]}" for key in sorted(parts))
+            + "\n}")
 
 
 def _encode(value):
@@ -765,7 +804,7 @@ def sweep_to_json(result: SweepResult) -> str:
                       "predicted": f.predicted} for f in result.findings],
         "total_findings": result.total_findings,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return dumps(doc)
 
 
 def render_sweep(result: SweepResult) -> str:

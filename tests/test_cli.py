@@ -280,6 +280,27 @@ def test_group_json(capsys):
     assert doc["isomorphic"] is False
 
 
+def _canonical(out: str) -> str:
+    return json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [("cyclic", "12"), ("dihedral", "4")])
+def test_group_json_bytes(capsys, argv):
+    code, out, _ = run(capsys, "group", *argv, "--json")
+    assert code == 0
+    assert out == _canonical(out)
+
+
+def test_sweep_json_bytes_with_findings(capsys, monkeypatch):
+    # the golden sweep has no findings, so this pins a list of dicts
+    _diameter_3_reads_99(monkeypatch)
+    code, out, _ = run(capsys, "sweep", "2", "40", "--checks", "diameter",
+                       "--json")
+    assert code == 2
+    assert json.loads(out)["findings"]
+    assert out == _canonical(out)
+
+
 def test_group_capability_error(capsys):
     code, _, err = run(capsys, "group", "cyclic", "999")
     assert code == 1

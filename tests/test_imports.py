@@ -3,7 +3,9 @@ private module-level name is used by some module of the package, and
 every public one by some module, test or benchmark.  metrics.py, whose
 certificate checkers re-check what verify.py produces, imports nothing
 from verify.py, and verify.py reaches none of the searches that the
-certificates replace.
+certificates replace.  No module passes indent= to a json function,
+which would run CPython's pure-Python encoder: verify.dumps writes every
+document.
 
 No linter runs on this repository, so dead imports and helpers left
 behind by a deletion would otherwise go unnoticed.  __init__.py is
@@ -187,6 +189,51 @@ def test_topology_imports_neither_verify_nor_metrics():
     source = (SRC / "topology.py").read_text()
     assert imports_of(source, "verify") == []
     assert imports_of(source, "metrics") == []
+
+
+def indented_json_calls(source: str) -> list[int]:
+    """Lines of calls that pass indent= to a function of the json package,
+    reached through a module name bound by ``import json`` or a name
+    from-imported from it.  With indent, json.dumps runs CPython's
+    pure-Python encoder; verify.dumps writes the same bytes."""
+    tree, modules, names, lines = ast.parse(source), set(), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name.split(".")[0] for a in node.names
+                        if a.name.split(".")[0] == "json"}
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "json"):
+            names |= {a.asname or a.name for a in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and any(k.arg == "indent" for k in node.keywords)):
+            root = node.func
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in names | modules:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_indented_json_calls_detected():
+    source = "\n".join([
+        "import json",
+        "import json.encoder as enc",
+        "from json import dumps as d",
+        "a = json.dumps(doc, indent=2, sort_keys=True)",
+        "b = json.dumps(doc, sort_keys=True)",
+        "c = d(doc, indent=2)",
+        "e = enc.JSONEncoder(indent=1).encode(doc)",
+        "f = verify.dumps(doc, indent='\\n')",
+        "g = json.dumps(json.loads(text), indent=2)",
+    ])
+    assert indented_json_calls(source) == [4, 6, 7, 9]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_indented_json_calls(path):
+    # every JSON document goes through verify.dumps
+    assert indented_json_calls(path.read_text()) == []
 
 
 SEARCHES = {"metrics": ("diameter", "girth", "is_star", "chromatic_number"),

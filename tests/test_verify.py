@@ -1,7 +1,9 @@
+import enum
 import itertools
 import json
 import math
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,7 @@ from znhg.arith import Factorization, factorize_range
 from znhg.hypergraph import build_intersection_hypergraph
 from znhg.metrics import has_host_tree
 from znhg.verify import (ALL_CHECKS, AnalysisReport, analyze, cached_host_tree,
-                         render_report, render_sweep, run_sweep,
+                         dumps, render_report, render_sweep, run_sweep,
                          sweep_to_json)
 
 
@@ -56,6 +58,39 @@ def test_report_json_with_labels_above_a_million():
     r = analyze(2 * 1000003 * 1000033)
     assert sorted(r.vertices)[1] > 10**6
     _assert_json_round_trips(r)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+WRITER_CORPUS = [
+    *(json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.json"))),
+    "caf\u00e9 \u2203 \U0001d4b5 \"quoted\" back\\slash \t\n\r\x00\x1f\x7f",
+    {"\u00e9": "\u00e9", "a\"b": ["\\", "\x08\x0c"], "": ""},
+    {}, [], (), [{}], [[]], {"a": {}}, {"a": []}, [[[], {}], {"b": [{}]}],
+    {"x": {"y": {"z": {}}}, "w": [[[[]]]]},
+    [{"n": 30, "check": "diameter"}, {"n": 42, "check": "girth"}],
+    [True, 1, False, 0, None], {"t": True, "o": 1, "f": False, "z": 0},
+    [-1, -10**12, 0, 10**300 + 7, -(10**299) - 3],
+    (1, (2, (3, ())), [4, (5,)]),
+    {"b": 1, "a": 2, "B": 3, "_": 4, "a0": 5, "\u00e9": 6, "aa": 7},
+]
+
+
+@pytest.mark.parametrize("value", WRITER_CORPUS)
+def test_dumps_matches_json_dumps(value):
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+class _Level(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("value", [1.5, math.inf, {1, 2}, {1: "a"},
+                                   [1, {"a": [0.0]}], _Level.ONE])
+def test_dumps_refuses_other_types(value):
+    # json.dumps would write these, some of them differently; an
+    # unsupported value never yields bytes
+    with pytest.raises(TypeError):
+        dumps(value)
 
 
 def test_report_json_schema_field():
