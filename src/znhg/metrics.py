@@ -16,17 +16,25 @@ BFS from every vertex.  A witness they reject is reported, not searched
 around: diameter, girth, is_star and chromatic_number serve the tests
 as independent oracles.  This module imports nothing from verify, where
 the witnesses are built.
+
+verify_isomorphism checks a map's labels on every call, then compares
+the edge sets through _maps_edges_onto, a pure function of the two edge
+tuples and the map as vertex positions.  A sweep compares the same
+index-level inputs again and again, so it is memoized by a
+hypergraph.EdgeMemo, which keeps at most hypergraph.EDGE_BUDGET
+hyperedges across its entries.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Hashable
 
 from .arith import Factorization
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, edge_memo
 from .topology import SimpleGraph, component_count, simple_graph
 
 INFINITE = math.inf
@@ -502,13 +510,33 @@ def isomorphic(h1: Hypergraph, h2: Hypergraph):
 
 
 def verify_isomorphism(h1: Hypergraph, h2: Hypergraph, mapping: dict) -> bool:
-    """Check a claimed witness bijection maps hyperedges onto hyperedges."""
+    """Check a claimed witness bijection maps hyperedges onto hyperedges.
+
+    The keys must be h1's labels and the values h2's, without repeats;
+    then the edges, which must be tuples as Hypergraph holds them, are
+    compared by the memoized _maps_edges_onto.
+    """
     if mapping.keys() != set(h1.vertices):
         return False
     values = set(mapping.values())
     if values != set(h2.vertices) or len(values) != len(mapping):
         return False
     index2 = {lab: i for i, lab in enumerate(h2.vertices)}
-    to2 = [index2[mapping[lab]] for lab in h1.vertices]
-    image = {frozenset(map(to2.__getitem__, e)) for e in h1.edges}
-    return image == set(map(frozenset, h2.edges))
+    to2 = array("I", map(index2.__getitem__, map(mapping.__getitem__,
+                                                   h1.vertices)))
+    return _maps_edges_onto(h1.edges, h2.edges, to2.tobytes())
+
+
+@edge_memo(lambda args, _: len(args[0]) + len(args[1]))
+def _maps_edges_onto(edges1: tuple, edges2: tuple, to2: bytes) -> bool:
+    """True iff position i -> to2[i] maps the edges of edges1 onto
+    those of edges2.
+
+    to2 holds the positions as native unsigned ints.  It is bytes, not a
+    tuple, because CPython keeps up to 2,000 freed tuples of each length
+    below 20 for reuse: the map of every lookup, freed once it hits,
+    would pile up there, which raised a sweep's peak memory by 0.6 MB.
+    """
+    to2 = memoryview(to2).cast("I")
+    image = {frozenset(map(to2.__getitem__, e)) for e in edges1}
+    return image == set(map(frozenset, edges2))

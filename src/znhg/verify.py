@@ -747,9 +747,10 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
     process evaluates the patterns it meets, so output is identical
     across concurrency levels.  Memory does not grow with the range: one
     base and one table of divisor exponents per pattern (and per base of
-    the planarity lift) are kept for the life of the process, and one
-    divisor table, of the last n built.  jobs above the CPU count are
-    capped to it.
+    the planarity lift) are kept for the life of the process, one divisor
+    table, of the last n built, and the two memos of index-level builds
+    and edge comparisons keep at most hypergraph.EDGE_BUDGET hyperedges
+    each.  jobs above the CPU count are capped to it.
     """
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")

@@ -13,16 +13,17 @@ import pytest
 
 from znhg.arith import CapabilityError, divisors, factorize, factorize_range
 from znhg.groups import Subgroup, cyclic, set_product, zn_subgroup_of_divisor
-from znhg.hypergraph import (MAX_HYPEREDGES, MAX_VERTICES, Hypergraph,
-                             _build_on_mask_classes, _class_cliques,
-                             _divisor_table,
+from znhg import hypergraph
+from znhg.hypergraph import (EDGE_BUDGET, MAX_HYPEREDGES, MAX_VERTICES,
+                             Hypergraph, _build_on_mask_classes,
+                             _class_cliques, _divisor_table, _index_edges,
                              build_comaximal_hypergraph,
                              build_intersection_hypergraph, canonical_hypergraph,
                              check_buildable, comaximal, enumerate_maximal_edges,
                              intersection_edge_count,
                              intersection_vertex_count, support_set,
                              trivially_intersects, vertex_set)
-from znhg.metrics import isomorphic
+from znhg.metrics import _maps_edges_onto, isomorphic
 from znhg.verify import ALL_CHECKS, run_sweep
 
 
@@ -187,8 +188,10 @@ def test_class_cliques_are_keyed_on_the_masks_themselves(masks):
 
 
 def test_class_clique_cache_holds_one_entry_per_omega():
-    # 2..7000 reaches omega 1..5; omega 1 builds on the empty mask set
+    # 2..7000 reaches omega 1..5; omega 1 builds on the empty mask set.
+    # A mask sequence kept from an earlier test would skip its lookup
     _class_cliques.cache_clear()
+    _index_edges.cache_clear()
     run_sweep(2, 7000, [c for c in ALL_CHECKS if c != "planarity"])
     assert _class_cliques.cache_info().currsize == 5
 
@@ -215,8 +218,44 @@ def test_interleaved_builds_equal_fresh_builds():
                          (build_comaximal_hypergraph, g),
                          (build_comaximal_hypergraph, f)):
             _divisor_table.cache_clear()
+            _index_edges.cache_clear()
             fresh.append(build(x))
         assert got == tuple(fresh), f.n
+
+
+def test_a_build_above_the_edge_budget_is_correct_and_not_kept():
+    f = factorize(2**100 * 3**100)
+    assert intersection_edge_count(f) == 10000 > EDGE_BUDGET
+    _index_edges.cache_clear()
+    build_intersection_hypergraph(factorize(30))
+    kept = (list(_index_edges._entries), _index_edges.pinned)
+    assert build_intersection_hypergraph(f) == pairwise_builds(f)[0]
+    assert (list(_index_edges._entries), _index_edges.pinned) == kept
+    run_sweep(2, 5000)
+    for memo in (_index_edges, _maps_edges_onto):
+        assert 0 < memo.pinned <= EDGE_BUDGET
+        assert sum(cost for _, cost in memo._entries.values()) == memo.pinned
+
+
+def test_edge_memo_evicts_least_recently_used_under_the_budget(monkeypatch):
+    monkeypatch.setattr(hypergraph, "EDGE_BUDGET", 5)
+    calls = []
+
+    @hypergraph.edge_memo(lambda args, result: len(result))
+    def run(width):
+        calls.append(width)
+        return (0,) * width
+
+    for width in (2, 3, 2, 1, 6, 2, 0):
+        assert run(width) == (0,) * width
+    # 1 evicts 3, used less recently than 2; 6 is never kept; 0 costs 1
+    assert calls == [2, 3, 1, 6, 0]
+    assert list(run._entries) == [(1,), (2,), (0,)] and run.pinned == 4
+    # 3 evicts entries until at most 5 edges are kept
+    run(3)
+    assert list(run._entries) == [(0,), (3,)] and run.pinned == 4
+    run.cache_clear()
+    assert not run._entries and run.pinned == 0
 
 
 def test_divisor_table_cache_holds_one_entry():

@@ -506,6 +506,20 @@ def test_verify_isomorphism_rejects_wrong_maps():
     assert not verify_isomorphism(path, edge, {"a": "x", "b": "y", "c": "x"})
 
 
+def test_verify_isomorphism_memo_is_keyed_on_the_map():
+    # the same h1 and h2 after an accepted map: a memo of the edge
+    # comparison keyed without the map would accept the swapped map, and
+    # the map missing a key must be refused before any comparison
+    f = factorize(60)
+    h, co = build_intersection_hypergraph(f), build_comaximal_hypergraph(f)
+    dual = {d: f.n // d for d in h.vertices}
+    assert verify_isomorphism(h, co, dual)
+    swapped = {**dual, 4: dual[6], 6: dual[4]}
+    assert not verify_isomorphism(h, co, swapped)
+    assert not verify_isomorphism(h, co, {d: dual[d] for d in h.vertices[1:]})
+    assert verify_isomorphism(h, co, dual)
+
+
 def test_verify_isomorphism_refuses_a_map_not_defined_on_h1():
     # onto and injective, but "c" has no image: refused, not a KeyError
     path = Hypergraph(("a", "b", "c"), ((0, 1), (1, 2)))

@@ -122,6 +122,23 @@ def test_run_sweep_deterministic_and_parallel_identical():
     assert render_sweep(a) == render_sweep(b) == render_sweep(c)
 
 
+def test_sweep_output_is_unchanged_when_the_memos_evict(monkeypatch):
+    # a budget of 64 hyperedges keeps almost nothing, so the sweep
+    # rebuilds and re-compares most n; jobs = 2 forks workers that
+    # inherit the patched budget
+    from znhg import hypergraph, metrics, verify as v
+
+    want = sweep_to_json(run_sweep(2, 3000))
+    monkeypatch.setattr(hypergraph, "EDGE_BUDGET", 64)
+    for memo in (hypergraph._index_edges, metrics._maps_edges_onto):
+        memo.cache_clear()
+    for jobs in (1, 2):
+        v._pattern_base.cache_clear()
+        assert sweep_to_json(run_sweep(2, 3000, jobs=jobs)) == want, jobs
+    for memo in (hypergraph._index_edges, metrics._maps_edges_onto):
+        assert 0 < memo.pinned <= 64
+
+
 def test_run_sweep_rejects_bad_input():
     with pytest.raises(ValueError):
         run_sweep(5, 2)
