@@ -51,20 +51,22 @@ class Classification:
     projective: bool
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for fld in fields(self):
-            val = getattr(self, fld.name)
-            if val == math.inf:
-                val = "infinite"
-            out[fld.name] = val
-        return out
+        return {fld.name: encode_infinite(getattr(self, fld.name))
+                for fld in fields(self)}
 
     @staticmethod
     def from_json_dict(d: dict) -> "Classification":
-        kw = dict(d)
-        if kw.get("girth") == "infinite":
-            kw["girth"] = math.inf
-        return Classification(**kw)
+        return Classification(**{k: decode_infinite(v) for k, v in d.items()})
+
+
+def encode_infinite(value):
+    """value as a result document holds it: math.inf as "infinite"."""
+    return "infinite" if value == math.inf else value
+
+
+def decode_infinite(value):
+    """The inverse of encode_infinite."""
+    return math.inf if value == "infinite" else value
 
 
 def predict(f: Factorization) -> Classification:

@@ -17,10 +17,10 @@ around: diameter, girth, is_star and chromatic_number serve the tests
 as independent oracles.  This module imports nothing from verify, where
 the witnesses are built.
 
-verify_isomorphism checks a map's labels on every call, then compares
-the edge sets through _maps_edges_onto, a pure function of the two edge
-tuples and the map as vertex positions.  A sweep compares the same
-index-level inputs again and again, so it is memoized by a
+verify_isomorphism checks a map's labels in one pass on every call,
+then compares the edge sets through _maps_edges_onto, a pure function of
+the two edge tuples and the map as vertex positions.  A sweep compares
+the same index-level inputs again and again, so it is memoized by a
 hypergraph.EdgeMemo, which keeps at most hypergraph.EDGE_BUDGET
 hyperedges across its entries.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Hashable
 
 from .arith import Factorization
@@ -366,6 +366,18 @@ def check_star(h: Hypergraph, value, witness) -> bool:
         *(h.edges[j] for j in witness[1:]))
 
 
+def _comembership(h: Hypergraph) -> list[list[int]]:
+    """co[u][v]: the hyperedges holding both u and v.  The diagonal counts
+    each vertex's hyperedges; no caller reads it."""
+    co = [[0] * len(h.vertices) for _ in h.vertices]
+    for e in h.edges:
+        for u in e:
+            row = co[u]
+            for v in e:
+                row[v] += 1
+    return co
+
+
 @dataclass(frozen=True)
 class HostTreeResult:
     """Outcome of the exact host-tree test.
@@ -393,11 +405,7 @@ def has_host_tree(h: Hypergraph, search_limit: int = 9) -> HostTreeResult:
     m = len(h.vertices)
     if m > search_limit:
         return HostTreeResult("unknown")
-    weight = [[0] * m for _ in range(m)]
-    for e in h.edges:
-        for i in e:
-            for j in e:
-                weight[i][j] += 1
+    weight = _comembership(h)
     # Prim from vertex 0; weight-0 pairs are allowed, so the tree spans
     chosen: list[tuple[int, int]] = []
     total = 0
@@ -467,16 +475,7 @@ def isomorphic(h1: Hypergraph, h2: Hypergraph):
     if sorted(sig1) != sorted(sig2):
         return False, None
 
-    def comembership(h: Hypergraph) -> list[list[int]]:
-        co = [[0] * len(h.vertices) for _ in range(len(h.vertices))]
-        for e in h.edges:
-            for a in e:
-                for b in e:
-                    if a != b:
-                        co[a][b] += 1
-        return co
-
-    co1, co2 = comembership(h1), comembership(h2)
+    co1, co2 = _comembership(h1), _comembership(h2)
     # rarest signatures first
     freq: dict[tuple[int, ...], int] = {}
     for s in sig1:
@@ -514,16 +513,20 @@ def verify_isomorphism(h1: Hypergraph, h2: Hypergraph, mapping: dict) -> bool:
 
     The keys must be h1's labels and the values h2's, without repeats;
     then the edges, which must be tuples as Hypergraph holds them, are
-    compared by the memoized _maps_edges_onto.
+    compared by the memoized _maps_edges_onto.  Each hypergraph's labels
+    must be distinct, as Hypergraph.validate requires and every builder
+    guarantees: then one pass decides the labels.  A label of h1 with no
+    image in h2 gets position count, which no vertex of h2 has.
     """
-    if mapping.keys() != set(h1.vertices):
-        return False
-    values = set(mapping.values())
-    if values != set(h2.vertices) or len(values) != len(mapping):
+    count = len(h1.vertices)
+    if not len(mapping) == count == len(h2.vertices):
         return False
     index2 = {lab: i for i, lab in enumerate(h2.vertices)}
-    to2 = array("I", map(index2.__getitem__, map(mapping.__getitem__,
-                                                   h1.vertices)))
+    to2 = array("I", map(index2.get,
+                         map(mapping.get, h1.vertices, repeat(object())),
+                         repeat(count)))
+    if count in to2 or len(set(to2)) != count:
+        return False
     return _maps_edges_onto(h1.edges, h2.edges, to2.tobytes())
 
 

@@ -5,8 +5,8 @@ computable invariant, the closed-form prediction, and per-field
 agreement flags.  run_sweep() applies selected comparisons over a range
 of n; disagreements come back as findings in the result, never as
 exceptions, because the harness exists to report them.  Both go through
-one evaluator, _evaluate(), where each check is defined once; analyze
-runs every sweep check except iso.
+one evaluator, _evaluate(), where each check is defined once.  analyze
+runs every check but iso, and a sweep takes iso at each n from _iso_row.
 
 No isomorphism is searched for.  The iso check verifies the explicit
 map d -> n/d, exact because gcd(n/d, n/d') = n/lcm(d, d').
@@ -14,11 +14,12 @@ map d -> n/d, exact because gcd(n/d, n/d') = n/lcm(d, d').
 A sweep evaluates each exponent pattern once per process.  n0 of a
 sorted pattern is its smallest n, the exponents in descending order on
 2, 3, 5, ..., built without factoring; _pattern_base evaluates it through
-_evaluate and keeps the result for the life of the process, so n0 is the
-same for every range and every sweep.  Every other n of the pattern
-builds its own hypergraph h and takes n0's rows, iso aside, once
+_evaluate, every selected check but iso, and keeps the rows for the
+life of the process, so n0 is the same for every range and every sweep.
+Every n builds its own hypergraph h, takes n0's rows, once
 metrics.verify_isomorphism accepts the prime relabelling sigma from h0
-onto h.  A prime power p^a is the pattern (a,): h0 and sigma are empty,
+onto h unless n is n0, and adds its own iso row on h; no iso row is kept.
+A prime power p^a is the pattern (a,): h0 and sigma are empty,
 which the check accepts exactly when h is empty too.  Each carried
 value is then certified by n0's checked certificate plus a checked
 isomorphism, and a refused sigma makes each carried row "uncertified".
@@ -73,7 +74,8 @@ from json.encoder import encode_basestring_ascii
 
 from . import classify, metrics, topology
 from .arith import Factorization, check_range, factorize
-from .classify import COMPUTED_FIELDS, FORMULA_ONLY_FIELDS, Classification
+from .classify import (COMPUTED_FIELDS, FORMULA_ONLY_FIELDS, Classification,
+                       decode_infinite, encode_infinite)
 from .hypergraph import (Hypergraph, build_comaximal_hypergraph,
                          build_intersection_hypergraph, check_buildable)
 
@@ -152,12 +154,6 @@ def json_with_label_arrays(doc: dict, vertices, edges,
             + "\n}")
 
 
-def _encode(value):
-    if value is math.inf or value == math.inf:
-        return "infinite"
-    return value
-
-
 @dataclass(frozen=True)
 class FieldComparison:
     computed: object
@@ -187,11 +183,12 @@ class AnalysisReport:
             "kind": "analysis",
             "n": self.n,
             "factorization": [list(pair) for pair in self.factors],
-            "computed": {k: _encode(v) for k, v in sorted(self.computed.items())},
+            "computed": {k: encode_infinite(v)
+                         for k, v in sorted(self.computed.items())},
             "predicted": self.predicted.to_json_dict(),
             "agreement": {
-                name: {"computed": _encode(cmp.computed),
-                       "predicted": _encode(cmp.predicted),
+                name: {"computed": encode_infinite(cmp.computed),
+                       "predicted": encode_infinite(cmp.predicted),
                        "agree": cmp.agree,
                        "mode": cmp.mode}
                 for name, cmp in sorted(self.agreement.items())},
@@ -208,18 +205,16 @@ class AnalysisReport:
         if doc.get("schema") != SCHEMA:
             raise ValueError(f"unsupported schema {doc.get('schema')!r}")
 
-        def dec(v):
-            return math.inf if v == "infinite" else v
-
         return AnalysisReport(
             n=doc["n"],
             factors=tuple((p, a) for p, a in doc["factorization"]),
             vertices=tuple(doc["vertices"]),
             edges=tuple(tuple(e) for e in doc["edges"]),
-            computed={k: dec(v) for k, v in doc["computed"].items()},
+            computed={k: decode_infinite(v) for k, v in doc["computed"].items()},
             predicted=Classification.from_json_dict(doc["predicted"]),
             agreement={
-                name: FieldComparison(dec(c["computed"]), dec(c["predicted"]),
+                name: FieldComparison(decode_infinite(c["computed"]),
+                                      decode_infinite(c["predicted"]),
                                       c["agree"], c["mode"])
                 for name, c in doc["agreement"].items()},
             host_tree_limit=doc["host_tree_limit"],
@@ -265,11 +260,11 @@ def render_report(report: AnalysisReport) -> str:
     lines.append("field           computed    predicted   agree  mode")
     pred_dict = report.predicted.to_json_dict()
     for name, cmp in sorted(report.agreement.items()):
-        lines.append(f"{name:<15} {str(_encode(cmp.computed)):<11} "
-                     f"{str(_encode(cmp.predicted)):<11} "
+        lines.append(f"{name:<15} {str(encode_infinite(cmp.computed)):<11} "
+                     f"{str(encode_infinite(cmp.predicted)):<11} "
                      f"{'yes' if cmp.agree else 'NO':<6} {cmp.mode}")
     for name in FORMULA_ONLY_FIELDS:
-        lines.append(f"{name:<15} {'-':<11} {str(_encode(pred_dict[name])):<11} "
+        lines.append(f"{name:<15} {'-':<11} {str(pred_dict[name]):<11} "
                      f"{'-':<6} formula-only")
     if report.findings:
         lines.append("FINDINGS: " + ", ".join(report.findings))
@@ -588,8 +583,8 @@ def _row(check, fld, computed, predicted, computed_text=None,
          predicted_text=None) -> tuple:
     """A row as _evaluate returns it."""
     return (check, fld, computed, predicted, bool(computed == predicted),
-            str(_encode(computed)) if computed_text is None else computed_text,
-            str(_encode(predicted)) if predicted_text is None else predicted_text)
+            str(encode_infinite(computed)) if computed_text is None else computed_text,
+            str(encode_infinite(predicted)) if predicted_text is None else predicted_text)
 
 
 def _iso_row(f: Factorization, h: Hypergraph) -> tuple:
@@ -677,24 +672,6 @@ def _relabelling(f0: Factorization, h0: Hypergraph, f: Factorization) -> dict:
     return _prime_map(f0, f, h0.vertices)
 
 
-def _carried(f: Factorization, h: Hypergraph, f0: Factorization,
-             h0: Hypergraph, outcome0) -> tuple[int, list, int]:
-    """n's outcome from n0's, row by row: the iso row is n's own; every
-    other row is kept if verify_isomorphism accepts the prime relabelling
-    from h0 onto h, and otherwise gets the computed value UNCERTIFIED."""
-    _, rows0, unknown = outcome0
-    accepted = metrics.verify_isomorphism(h0, h, _relabelling(f0, h0, f))
-    rows = []
-    for row in rows0:
-        check, fld, _, predicted, _, _, text = row
-        if check == "iso":
-            row = _iso_row(f, h)
-        elif not accepted:
-            row = _row(check, fld, UNCERTIFIED, predicted, predicted_text=text)
-        rows.append(row)
-    return f.n, rows, unknown
-
-
 def _smallest(pattern: tuple[int, ...]) -> Factorization:
     """The smallest n with the sorted exponent pattern, built without
     factoring: the exponents, in descending order, on 2, 3, 5, ...."""
@@ -707,25 +684,35 @@ def _smallest(pattern: tuple[int, ...]) -> Factorization:
 @functools.cache
 def _pattern_base(pattern: tuple[int, ...], checks,
                   host_tree_limit: int) -> tuple:
-    """(f0, h0, outcome0) for n0 = _smallest(pattern), evaluated through
-    _sweep_one.  Kept for the life of the process: one entry per
+    """(f0, h0, rows0, unknown0) for n0 = _smallest(pattern), evaluated
+    through _sweep_one on every selected check but iso, which belongs to
+    each n itself.  Kept for the life of the process: one entry per
     (pattern, checks, limit), and 288 patterns have their smallest n
     within RANGE_LIMIT, 269 of two or more primes and the 19 prime powers
     2^1..2^19."""
     f0 = _smallest(pattern)
     h0 = build_intersection_hypergraph(f0)
-    return f0, h0, _sweep_one(f0, h0, checks, host_tree_limit)
+    _, rows0, unknown0 = _sweep_one(f0, h0, [c for c in checks if c != "iso"],
+                                    host_tree_limit)
+    return f0, h0, rows0, unknown0
 
 
 def _sweep_outcome(n: int, checks, host_tree_limit: int) -> tuple:
-    """n's outcome: its pattern's base outcome if n is n0, and otherwise
-    carried from it."""
+    """n's outcome (n, rows, unknown): its pattern's base rows, each made
+    "uncertified" if n is not n0 and verify_isomorphism refuses the prime
+    relabelling from h0 onto n's hypergraph h, then n's own iso row on h
+    if iso is selected and h0 is nonempty."""
     f = factorize(n)
-    f0, h0, outcome0 = _pattern_base(tuple(sorted(f.exponents)), checks,
-                                     host_tree_limit)
-    if f0.n == n:
-        return outcome0
-    return _carried(f, build_intersection_hypergraph(f), f0, h0, outcome0)
+    f0, h0, rows, unknown = _pattern_base(tuple(sorted(f.exponents)), checks,
+                                          host_tree_limit)
+    h = build_intersection_hypergraph(f)
+    if f0.n != n and not metrics.verify_isomorphism(
+            h0, h, _relabelling(f0, h0, f)):
+        rows = [_row(check, fld, UNCERTIFIED, predicted, predicted_text=text)
+                for check, fld, _, predicted, _, _, text in rows]
+    if "iso" in checks and not h0.is_empty:
+        rows = [*rows, _iso_row(f, h)]
+    return n, rows, unknown
 
 
 def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
@@ -735,13 +722,13 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
 
     _sweep_outcome is mapped over lo..hi.  It factors n, whose sorted
     exponent pattern has a smallest n, n0, that _pattern_base evaluates
-    once per process; a prime power p^a has the pattern (a,) and n0 = 2^a.
-    n0 takes that outcome; any other n builds its own hypergraph h and
-    takes n0's rows, iso aside, once metrics.verify_isomorphism accepts
-    the prime relabelling from h0 onto h; a refused relabelling makes
-    each of those rows "uncertified", a finding.  iso is checked on every
-    n with a nonempty hypergraph.  So an n's outcome depends neither on
-    lo nor on the sweeps run before.  Outcomes are folded in ascending n
+    once per process on every selected check but iso; a prime power p^a
+    has the pattern (a,) and n0 = 2^a.  Every n builds its own hypergraph
+    h and takes n0's rows; unless n is n0, a relabelling from h0 onto h
+    that metrics.verify_isomorphism refuses makes each "uncertified", a
+    finding.  iso is n's own, checked on h at every n of a pattern with a
+    nonempty hypergraph and never kept.  So an n's outcome depends
+    neither on lo nor on the sweeps run before.  Outcomes are folded in ascending n
     for every jobs value: jobs > 1 maps the same function with Pool.imap,
     which keeps order, _BLOCK values of n per task, and each worker
     process evaluates the patterns it meets, so output is identical

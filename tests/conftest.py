@@ -1,6 +1,6 @@
 import pytest
 
-from znhg import verify
+from znhg import hypergraph, metrics, verify
 from znhg.arith import factorize_range
 from znhg.hypergraph import build_intersection_hypergraph
 
@@ -13,7 +13,10 @@ def builds5000():
 
 
 @pytest.fixture(autouse=True)
-def cold_pattern_bases():
-    """Each test starts with no pattern base kept, so a callee that it
-    patches takes effect in every sweep it runs."""
+def cold_memos():
+    """Each test starts with no pattern base, index-level build or edge
+    comparison kept, so a callee that it patches takes effect in every
+    sweep it runs, and no test depends on what an earlier one left."""
     verify._pattern_base.cache_clear()
+    hypergraph._index_edges.cache_clear()
+    metrics._maps_edges_onto.cache_clear()

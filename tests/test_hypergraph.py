@@ -188,10 +188,8 @@ def test_class_cliques_are_keyed_on_the_masks_themselves(masks):
 
 
 def test_class_clique_cache_holds_one_entry_per_omega():
-    # 2..7000 reaches omega 1..5; omega 1 builds on the empty mask set.
-    # A mask sequence kept from an earlier test would skip its lookup
+    # 2..7000 reaches omega 1..5; omega 1 builds on the empty mask set
     _class_cliques.cache_clear()
-    _index_edges.cache_clear()
     run_sweep(2, 7000, [c for c in ALL_CHECKS if c != "planarity"])
     assert _class_cliques.cache_info().currsize == 5
 
@@ -226,7 +224,6 @@ def test_interleaved_builds_equal_fresh_builds():
 def test_a_build_above_the_edge_budget_is_correct_and_not_kept():
     f = factorize(2**100 * 3**100)
     assert intersection_edge_count(f) == 10000 > EDGE_BUDGET
-    _index_edges.cache_clear()
     build_intersection_hypergraph(factorize(30))
     kept = (list(_index_edges._entries), _index_edges.pinned)
     assert build_intersection_hypergraph(f) == pairwise_builds(f)[0]

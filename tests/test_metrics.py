@@ -500,10 +500,16 @@ def test_verify_isomorphism_rejects_wrong_maps():
     assert verify_isomorphism(h, co, dual)
     assert not verify_isomorphism(h, co, {**dual, 2: 7})
     assert not verify_isomorphism(h, co, {**dual, 2: dual[3]})
-    # onto every vertex of h2, so only the injectivity check refuses it
+    # onto every vertex of h2, but not injective
     path = Hypergraph(("a", "b", "c"), ((0, 1), (1, 2)))
     edge = Hypergraph(("x", "y"), ((0, 1),))
     assert not verify_isomorphism(path, edge, {"a": "x", "b": "y", "c": "x"})
+    # each maps every label of h1 to a distinct vertex of h2, and edges
+    # onto edges, so only the vertex and key counts refuse them: a key
+    # outside h1, and a vertex of h2 that is no image
+    assert not verify_isomorphism(h, co, {**dual, 7: 1})
+    spare = Hypergraph(("x", "y", "z"), ((0, 1),))
+    assert not verify_isomorphism(edge, spare, {"x": "x", "y": "y"})
 
 
 def test_verify_isomorphism_memo_is_keyed_on_the_map():

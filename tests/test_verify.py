@@ -528,6 +528,26 @@ def test_sweep_evaluates_each_pattern_once(monkeypatch):
     assert evaluated == sorted(set(_first_of_pattern(fs).values()))
 
 
+def test_every_n_checks_its_own_iso_row_in_every_sweep(monkeypatch):
+    # a warm pattern base holds no iso row, so the second sweep checks
+    # d -> n/d at each n0 again, as at every other n with an edge
+    from znhg import verify as v
+
+    checked = []
+    real_iso_row = v._iso_row
+
+    def iso_row(f, h):
+        checked.append(f.n)
+        return real_iso_row(f, h)
+
+    monkeypatch.setattr(v, "_iso_row", iso_row)
+    want = [f.n for f in factorize_range(2, 1000) if f.omega >= 2]
+    for _ in range(2):
+        checked.clear()
+        assert run_sweep(2, 1000, ("iso",), jobs=1).total_findings == 0
+        assert checked == want
+
+
 def test_smallest_is_the_first_n_of_each_pattern():
     # built without factoring: the exponents, in descending order, on the
     # first primes
