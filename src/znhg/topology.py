@@ -6,27 +6,27 @@ graph get names, for to_dot and the JSON export.  component_count is the
 one component counter: the rotation, host-tree and incidence-forest
 checkers all count with it.
 
-is_planar decides planarity by networkx's left-right (LR) test, and
-both kinds of certificate -- a rotation system for planar graphs, a
-Kuratowski subdivision for nonplanar ones -- are re-verified here by
-independent code.  is_planar verifies the certificate once, before
-returning, and raises if it fails, so callers never re-check it.
+is_planar decides planarity by networkx's left-right (LR) test, which
+also gives either kind of certificate -- a rotation system for planar
+graphs, a Kuratowski subgraph for nonplanar ones -- and both are
+re-verified here by independent code.  is_planar verifies the
+certificate once, before returning, and raises if it fails, so callers
+never re-check it.
 
-hypergraph_planar is the generic path: it knows nothing of Z_n and
-extracts a Kuratowski witness by bisection.  theta_rotation, which knows
-nothing of Z_n either, embeds in linear time any graph that is a forest
-plus at most one subdivided theta graph, the shape of the incidence
-graph of every planar Z_n.  On Z_n, verify lifts a stored witness from
-the exponent pattern or takes theta_rotation's embedding and checks it
-with verify_kuratowski_witness or verify_rotation_system; it never calls
-hypergraph_planar, which the tests use as the independent oracle.
-networkx is imported inside the two functions that run the LR test, so
-a process that never takes the generic path never loads it.
+hypergraph_planar is the generic path: it knows nothing of Z_n.
+theta_rotation, which knows nothing of Z_n either, embeds in linear
+time any graph that is a forest plus at most one subdivided theta graph,
+the shape of the incidence graph of every planar Z_n.  On Z_n, verify
+lifts a stored witness from the exponent pattern or takes
+theta_rotation's embedding and checks it with verify_kuratowski_witness
+or verify_rotation_system; it never calls hypergraph_planar, which the
+tests use as the independent oracle.  networkx is imported inside
+is_planar, the one function that runs the LR test, so a process that
+never takes the generic path never loads it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .hypergraph import Hypergraph
@@ -95,35 +95,6 @@ def component_count(vertex_count: int, pairs) -> int:
     return count
 
 
-def shortest_cycle_length(g: SimpleGraph):
-    """Length of a shortest cycle, or math.inf for forests.
-
-    BFS from every vertex; a non-tree edge (u, w) seen from root r gives a
-    cycle of length dist[u] + dist[w] + 1, and the minimum over all roots
-    is exact because every root on a shortest cycle detects it.
-    """
-    adj = g.adjacency()
-    best = math.inf
-    for root in range(g.vertex_count):
-        dist = {root: 0}
-        parent = {root: -1}
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for w in adj[u]:
-                    if w not in dist:
-                        dist[w] = dist[u] + 1
-                        parent[w] = u
-                        nxt.append(w)
-                    elif parent[u] != w and parent[w] != u:
-                        cand = dist[u] + dist[w] + 1
-                        if cand < best:
-                            best = cand
-            queue = nxt
-    return best
-
-
 def incidence_graph(h: Hypergraph) -> SimpleGraph:
     """Bipartite representation: subgroup nodes first, then hyperedge nodes.
 
@@ -160,63 +131,27 @@ class PlanarityResult:
     witness_kind: str | None = None
 
 
-def _edges_planar(vertex_count: int, *edge_groups) -> bool:
-    import networkx as nx
-
-    ng = nx.Graph()
-    ng.add_nodes_from(range(vertex_count))
-    for group in edge_groups:
-        ng.add_edges_from(group)
-    return nx.check_planarity(ng)[0]
-
-
-def _minimal_nonplanar_core(vertex_count: int, edges: list) -> list:
-    """Edge-minimal nonplanar subset of a nonplanar edge list.
-
-    Recursive bisection: every edge of the result is necessary, and an
-    edge-minimal nonplanar graph is exactly a K5 or K33 subdivision.
-    Needs O(k log E) planarity tests for a size-k core instead of the
-    O(E) of one-at-a-time deletion.
-    """
-
-    def minimize(committed: list, candidates: list) -> list:
-        # invariant: committed+candidates nonplanar, committed alone planar
-        if len(candidates) <= 1:
-            return candidates
-        mid = len(candidates) // 2
-        a, b = candidates[:mid], candidates[mid:]
-        if not _edges_planar(vertex_count, committed, a):
-            return minimize(committed, a)
-        if not _edges_planar(vertex_count, committed, b):
-            return minimize(committed, b)
-        kept_b = minimize(committed + a, b)
-        kept_a = minimize(committed + kept_b, a)
-        return kept_a + kept_b
-
-    return minimize([], edges)
-
-
 def is_planar(g: SimpleGraph) -> PlanarityResult:
-    """Planarity with a verified certificate either way."""
+    """Planarity with a verified certificate either way: networkx's LR
+    test gives the rotation system or, for a nonplanar g, its Kuratowski
+    subgraph, and each is re-checked here before it is returned."""
     import networkx as nx
 
     ng = nx.Graph()
     ng.add_nodes_from(range(g.vertex_count))
-    edges = g.sorted_edges()
-    ng.add_edges_from(edges)
-    ok, embedding = nx.check_planarity(ng)
+    ng.add_edges_from(g.sorted_edges())
+    ok, certificate = nx.check_planarity(ng, counterexample=True)
     if ok:
-        data = embedding.get_data()
+        data = certificate.get_data()
         rotation = tuple(tuple(data.get(v, ())) for v in range(g.vertex_count))
         result = PlanarityResult(True, rotation=rotation)
         if not verify_rotation_system(g, rotation):
             raise AssertionError("embedding failed Euler verification")
         return result
-    core = _minimal_nonplanar_core(g.vertex_count, edges)
-    witness = simple_graph(g.vertex_count, core)
+    witness = simple_graph(g.vertex_count, certificate.edges)
     kind = verify_kuratowski_witness(g, witness)
     if kind is None:
-        raise AssertionError("extracted core is not a Kuratowski subdivision")
+        raise AssertionError("counterexample is not a Kuratowski subdivision")
     return PlanarityResult(False, witness=witness, witness_kind=kind)
 
 

@@ -303,9 +303,12 @@ def cached_host_tree(f: Factorization, h: Hypergraph,
 
 
 # A Kuratowski witness of each minimal nonplanar pattern, (3, 3),
-# (1, 2, 2), (1, 1, 3) and (1, 1, 1, 1), tried in this order, taken once
-# from topology.hypergraph_planar on the pattern's smallest n, which puts
-# the exponents, in descending order, on 2, 3, 5, 7, and keyed by that n.
+# (1, 2, 2), (1, 1, 3) and (1, 1, 1, 1), tried in this order, on the
+# pattern's smallest n, which puts the exponents, in descending order, on
+# 2, 3, 5, 7, and keyed by that n.  They were taken once from the
+# edge-minimal bisection that topology.is_planar ran before it took
+# networkx's Kuratowski subgraph, which is another witness at 180 and
+# 210; test_stored_witnesses_are_the_oracles_on_each_base pins them.
 # An edge is (vertex, frozenset of the hyperedge's vertices), all divisors
 # of the key; every edge runs from a vertex node to a hyperedge node.
 _BASE_WITNESSES = {
@@ -640,10 +643,15 @@ def _evaluate(f: Factorization, h: Hypergraph, pred: Classification,
         compare("single-edge", "single_edge", facts["single_edge"],
                 pred.single_edge)
     if "hypertree" in checks:
-        status = facts["host_tree"] = cached_host_tree(f, h, host_tree_limit).status
+        host = cached_host_tree(f, h, host_tree_limit)
+        status = host.status
+        if status == "yes" and not metrics.verify_host_tree(h, host.tree):
+            status = UNCERTIFIED
+        facts["host_tree"] = status
         if status != "unknown":
-            compare("hypertree", "hypertree", status == "yes", pred.hypertree,
-                    computed_text=status,
+            compare("hypertree", "hypertree",
+                    status if status == UNCERTIFIED else status == "yes",
+                    pred.hypertree, computed_text=status,
                     predicted_text="yes" if pred.hypertree else "no")
     if "planarity" in checks:
         # a lifted witness or constructed embedding is checked before it

@@ -32,7 +32,7 @@ GOLDEN = Path(__file__).parent / "golden"
                                   ("analyze", "840")])
 def test_json_output_matches_golden(capsys, argv):
     # empty, planar, nonplanar with its witness, a sweep summary, and a
-    # witness lifted from a base of another kind than bisection finds
+    # witness lifted onto 840 from a smaller base, 120
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert out == (GOLDEN / ("_".join(argv) + ".json")).read_text()
@@ -163,17 +163,20 @@ def _truncated_rotation(monkeypatch):
     (_improper_split, 30, "chromatic", "chromatic", "2"),
     (_truncated_lift, 216, "planarity", "planar", "False"),
     (_truncated_rotation, 60, "planarity", "planar", "True"),
+    (_rejecting("verify_host_tree"), 30, "hypertree", "hypertree", "yes"),
 ], ids=["diameter", "girth", "star", "chromatic", "nonplanar lift",
-        "planar theta rotation"])
+        "planar theta rotation", "host tree"])
 def test_rejected_certificate_exits_2(capsys, monkeypatch, patch, n, check,
                                       fld, predicted):
     # a rejected certificate is reported as an "uncertified" finding,
-    # never replaced by a searched value
+    # never replaced by a searched value; hypertree's computed value is
+    # reported as host_tree
     patch(monkeypatch)
     code, out, _ = run(capsys, "analyze", str(n), "--json")
     assert code == 2
     doc = json.loads(out)
-    assert doc["computed"][fld] == "uncertified"
+    assert doc["computed"][{"hypertree": "host_tree"}.get(fld, fld)] == (
+        "uncertified")
     assert doc["agreement"][fld]["computed"] == "uncertified"
     assert doc["agreement"][fld]["agree"] is False
     if check == "planarity":

@@ -1,4 +1,3 @@
-import math
 import random
 from itertools import combinations
 
@@ -8,9 +7,8 @@ from znhg.arith import factorize
 from znhg.hypergraph import Hypergraph, build_intersection_hypergraph
 from znhg.topology import (SimpleGraph, component_count, hypergraph_planar,
                            incidence_graph, incidence_names, is_planar,
-                           shortest_cycle_length, simple_graph, theta_rotation,
-                           to_dot, verify_kuratowski_witness,
-                           verify_rotation_system)
+                           simple_graph, theta_rotation, to_dot,
+                           verify_kuratowski_witness, verify_rotation_system)
 
 
 def build(n):
@@ -261,14 +259,6 @@ def test_kuratowski_verifier_reads_the_sides_off_the_contraction():
     interleaved = simple_graph(7, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)
                                    if (u, v) != (4, 5)] + [(4, 6), (6, 5)])
     assert verify_kuratowski_witness(interleaved, interleaved) == "K33"
-
-
-def test_shortest_cycle_length():
-    c5 = simple_graph(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert shortest_cycle_length(c5) == 5
-    tree = simple_graph(4, [(0, 1), (1, 2), (1, 3)])
-    assert shortest_cycle_length(tree) == math.inf
-    assert shortest_cycle_length(complete_graph(4)) == 3
 
 
 def test_removing_hyperedges_preserves_planarity():

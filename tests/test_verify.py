@@ -157,13 +157,18 @@ def test_cached_host_tree_matches_direct_search():
 
 
 def test_no_host_tree_yes_escapes_verification(monkeypatch):
-    # n = 30 has a host tree; if its check fails, no "yes" may come back
+    # n = 30 has a host tree; if its check fails, no "yes" may come back,
+    # and the rejection is an "uncertified" finding, not an exception
     from znhg import verify as v
 
     monkeypatch.setattr(v.metrics, "verify_host_tree", lambda h, tree: False)
-    f = factorize_range(30, 30)[0]
-    with pytest.raises(AssertionError):
-        cached_host_tree(f, build_intersection_hypergraph(f), 9)
+    r = analyze(30)
+    assert r.computed["host_tree"] == "uncertified"
+    assert r.agreement["hypertree"].computed == "uncertified"
+    assert r.findings == ["hypertree"]
+    r = run_sweep(30, 30, ("hypertree",))
+    assert [(x.n, x.check, x.computed, x.predicted) for x in r.findings] == [
+        (30, "hypertree", "uncertified", "yes")]
 
 
 def test_sweep_decides_every_host_tree_with_a_large_limit():
@@ -606,9 +611,13 @@ def test_lifted_witness_exists_exactly_for_nonplanar_patterns(builds5000):
 
 
 def test_stored_witnesses_are_the_oracles_on_each_base():
-    # the data's provenance: on its own key sigma is the identity and the
-    # cofactor 1, so each stored witness lifts onto the witness the LR
-    # oracle extracts there
+    # the data's provenance, checked without the search that produced it:
+    # on its own key sigma is the identity and the cofactor 1, so each
+    # stored witness lifts onto exactly its own edges, and each is a K33
+    # that the LR test finds nonplanar and planar once any one edge is
+    # removed, the edge-minimality that its extraction guaranteed
+    import networkx as nx
+
     from znhg import topology
     from znhg import verify as v
 
@@ -616,10 +625,21 @@ def test_stored_witnesses_are_the_oracles_on_each_base():
     for f0 in v._BASES:
         h = build_intersection_hypergraph(f0)
         assert v._dominated_base(f0.exponents) is f0
-        oracle = topology.hypergraph_planar(h)
+        kind, base_edges = v._BASE_WITNESSES[f0.n]
+        node = {d: i for i, d in enumerate(h.vertices)}
+        node.update((frozenset(e), len(h.vertices) + j)
+                    for j, e in enumerate(h.edge_label_sets()))
+        stored = topology.simple_graph(
+            len(h.vertices) + len(h.edges),
+            [(node[d], node[c]) for d, c in base_edges])
         lifted = v._lifted_planarity(f0, h)
-        assert lifted.witness == oracle.witness, f0.n
-        assert lifted.witness_kind == oracle.witness_kind == "K33"
+        assert lifted.witness == stored, f0.n
+        assert kind == lifted.witness_kind == "K33"
+        edges = stored.sorted_edges()
+        assert not nx.check_planarity(nx.Graph(edges))[0], f0.n
+        for drop in edges:
+            assert nx.check_planarity(
+                nx.Graph([e for e in edges if e != drop]))[0], (f0.n, drop)
 
 
 def _divisors(n):
@@ -752,13 +772,13 @@ def test_broken_lift_is_an_uncertified_finding(monkeypatch, builds5000,
 def test_no_bisection_for_an_n_that_dominates_a_base(monkeypatch):
     # every nonplanar n lifts a stored base witness and every planar n
     # gets a constructed embedding, so neither the LR test nor the
-    # bisection runs
+    # Kuratowski extraction that follows it runs
     from znhg import topology
 
     def searched(*args):
         raise AssertionError("searched instead of certified")
 
-    for name in ("is_planar", "hypergraph_planar", "_minimal_nonplanar_core"):
+    for name in ("is_planar", "hypergraph_planar"):
         monkeypatch.setattr(topology, name, searched)
     r = run_sweep(2, 5000, ("planarity",))
     assert r.total_findings == 0
