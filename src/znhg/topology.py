@@ -17,10 +17,15 @@ hypergraph_planar is the generic path: it knows nothing of Z_n.
 theta_rotation, which knows nothing of Z_n either, embeds in linear
 time any graph that is a forest plus at most one subdivided theta graph,
 the shape of the incidence graph of every planar Z_n.  On Z_n, verify
-lifts a stored witness from the exponent pattern or takes
-theta_rotation's embedding and checks it with verify_kuratowski_witness
-or verify_rotation_system; it never calls hypergraph_planar, which the
-tests use as the independent oracle.  networkx is imported inside
+takes theta_rotation's embedding and checks it with
+verify_rotation_system, or lifts a stored witness from the exponent
+pattern and checks it with verify_incidence_witness, which tests each
+witness pair against h's hyperedges and so never builds the incidence
+graph; it never calls hypergraph_planar, which the tests use as the
+independent oracle.  verify_kuratowski_witness and
+verify_incidence_witness share one structural K5/K33 test,
+_kuratowski_kind, which looks at the witness's own vertices alone.
+networkx is imported inside
 is_planar, the one function that runs the LR test, so a process that
 never takes the generic path never loads it.
 """
@@ -251,9 +256,9 @@ def verify_rotation_system(g: SimpleGraph, rotation) -> bool:
             == 2 * component_count(g.vertex_count, g.edges))
 
 
-def verify_kuratowski_witness(host: SimpleGraph, witness: SimpleGraph) -> str | None:
-    """Return "K5" or "K33" if witness is a valid Kuratowski subdivision
-    inside host, else None.
+def _kuratowski_kind(edges) -> str | None:
+    """Return "K5" or "K33" if the normalized pairs in edges form a
+    subdivision of K5 or K33, else None.
 
     Branch vertices must have degree 4 (K5, five of them) or 3 (K33, six
     of them); every other touched vertex has degree 2, and contracting
@@ -261,25 +266,24 @@ def verify_kuratowski_witness(host: SimpleGraph, witness: SimpleGraph) -> str | 
     and no parallel chain, each branch vertex has exactly three base
     neighbours, so for K33 the base neighbours of the first branch
     vertex are one side and the base edges must be the 9 pairs between
-    it and the other three branch vertices.
+    it and the other three branch vertices.  Degrees and adjacency are
+    kept for the touched vertices alone, so the test costs time in
+    proportion to the edges, whatever graph they lie in.
     """
-    if witness.vertex_count != host.vertex_count:
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if any(len(a) not in (2, 3, 4) for a in adj.values()):
         return None
-    if not witness.edges <= host.edges:
-        return None
-    deg = witness.degrees()
-    active = [v for v in range(witness.vertex_count) if deg[v] > 0]
-    branch = [v for v in active if deg[v] >= 3]
-    if any(deg[v] not in (2, 3, 4) for v in active):
-        return None
-    if len(branch) == 5 and all(deg[v] == 4 for v in branch):
+    branch = sorted(v for v, a in adj.items() if len(a) >= 3)
+    if len(branch) == 5 and all(len(adj[v]) == 4 for v in branch):
         expect = "K5"
-    elif len(branch) == 6 and all(deg[v] == 3 for v in branch):
+    elif len(branch) == 6 and all(len(adj[v]) == 3 for v in branch):
         expect = "K33"
     else:
         return None
 
-    adj = witness.adjacency()
     branch_set = set(branch)
     seen_mid = set()
     base_edges = []
@@ -289,13 +293,13 @@ def verify_kuratowski_witness(host: SimpleGraph, witness: SimpleGraph) -> str | 
             while cur not in branch_set:
                 # cur has degree 2, so one neighbour besides prev
                 seen_mid.add(cur)
-                prev, cur = cur, next(w for w in adj[cur] if w != prev)
+                a = adj[cur]
+                prev, cur = cur, a[1] if a[0] == prev else a[0]
             if cur == b:
                 return None  # chain loops back: not a subdivision
             if b < cur:
                 base_edges.append((b, cur))
-    mids = [v for v in active if deg[v] == 2]
-    if set(mids) != seen_mid:
+    if len(seen_mid) != len(adj) - len(branch):
         return None  # stray degree-2 cycle not attached to any branch
     if len(base_edges) != len(set(base_edges)):
         return None  # two parallel chains between the same branch pair
@@ -306,6 +310,39 @@ def verify_kuratowski_witness(host: SimpleGraph, witness: SimpleGraph) -> str | 
         side = {v for u, v in base_edges if u == branch[0]}
         want = {(min(u, v), max(u, v)) for u in side for v in branch_set - side}
     return expect if set(base_edges) == want else None
+
+
+def verify_kuratowski_witness(host: SimpleGraph, witness: SimpleGraph) -> str | None:
+    """Return "K5" or "K33" if witness is a valid Kuratowski subdivision
+    inside host, else None: witness has host's vertex count, its edges
+    are host's, and they pass _kuratowski_kind."""
+    if witness.vertex_count != host.vertex_count:
+        return None
+    if not witness.edges <= host.edges:
+        return None
+    return _kuratowski_kind(witness.edges)
+
+
+def verify_incidence_witness(h: Hypergraph, witness: SimpleGraph) -> str | None:
+    """verify_kuratowski_witness(incidence_graph(h), witness), without
+    building the incidence graph.
+
+    witness must have incidence_graph(h)'s |V| + |E| nodes, and each of
+    its pairs (u, w) must join a vertex node u < |V| to a hyperedge node
+    w >= |V| whose hyperedge holds u: exactly the pairs of
+    incidence_graph(h), since a SimpleGraph keeps w below its vertex
+    count.  Then the pairs pass _kuratowski_kind.  The cost is one
+    membership test per pair and the structural test, in proportion to
+    the witness, not to h.
+    """
+    nv = len(h.vertices)
+    edges = h.edges
+    if witness.vertex_count != nv + len(edges):
+        return None
+    for u, w in witness.edges:
+        if not (u < nv <= w and u in edges[w - nv]):
+            return None
+    return _kuratowski_kind(witness.edges)
 
 
 def to_dot(h: Hypergraph) -> str:

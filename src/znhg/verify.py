@@ -33,15 +33,18 @@ hypergraph.vertex_set, are disjoint.  For n0 of a pattern beta <= alpha,
 d -> sigma(d) * n / sigma(n0), sigma being _prime_map's, raises each
 matched exponent by alpha - beta and puts alpha on the other primes,
 which keeps exactly that, so the incidence graph of n0 embeds in n's
-and a Kuratowski witness of it maps in edge for edge.  A sweep's carry
-is the same map with cofactor 1.  Every nonplanar pattern dominates one
-of four bases, whose witnesses are stored as literal data on the
-divisors of their smallest n.  The incidence graph of every planar
-pattern, (1, a), (2, a), (1, 1, 1) and (1, 1, 2), is a forest plus at
-most one subdivided theta graph, which topology.theta_rotation embeds
-without knowing n.  A lifted witness counts only after
-verify_kuratowski_witness accepts it, and a rotation only after
-verify_rotation_system does, both on n's own incidence graph.
+and a Kuratowski witness of it maps in edge for edge: a hyperedge goes
+to the images of its vertices, completed, where sigma misses some of
+n's primes, by the hub n / (their product).  A sweep's carry is the
+same map with cofactor 1.  Every nonplanar pattern dominates one of four
+bases, whose witnesses are stored as literal data on the divisors of
+their smallest n.  The incidence graph of every planar pattern, (1, a),
+(2, a), (1, 1, 1) and (1, 1, 2), is a forest plus at most one subdivided
+theta graph, which topology.theta_rotation embeds without knowing n.  A
+lifted witness counts only after topology.verify_incidence_witness
+accepts it, which tests each of its pairs against n's own hyperedges
+and so builds no incidence graph; a rotation counts only after
+verify_rotation_system accepts it on n's own incidence graph.
 
 Diameter, girth and star are not searched for either.  The same masks
 give each value a witness: the hubs n/p, deficient only at p, form a
@@ -64,6 +67,7 @@ and topology serve the tests as independent oracles.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
@@ -437,48 +441,57 @@ def _dominated_base(exponents: tuple[int, ...]) -> Factorization | None:
     return None
 
 
+def _position(items, item) -> int | None:
+    """The index of item in the ascending sequence items, by bisection,
+    or None if it is not there."""
+    i = bisect.bisect_left(items, item)
+    return i if i < len(items) and items[i] == item else None
+
+
 def _lifted_planarity(f: Factorization,
                       h: Hypergraph) -> topology.PlanarityResult | None:
     """A checked nonplanarity certificate lifted from a base, or None.
 
     A vertex label d of the witness of the base n0 goes to
     sigma(d) * n / sigma(n0), sigma being _prime_map's on the divisors of
-    n0; a hyperedge label goes to the first hyperedge holding the image of
-    its vertices, which by maximality meets the image exactly there: the
-    least index on the hyperedge lists of every image vertex.  A label
-    without an image refuses the lift.
+    n0, found by bisection in h.vertices.  The images of a hyperedge's
+    vertices have pairwise disjoint deficiency masks that cover the
+    primes sigma reaches, and every image is full on the primes sigma
+    does not reach.  So when there are such primes, the hub n / (their product),
+    deficient exactly there, completes the images to masks that cover
+    every prime, which by maximality is a hyperedge; a hyperedge label
+    goes to the sorted positions of its images, with the hub, found by
+    bisection in the canonical h.edges.  A label without an image, or
+    positions that are no hyperedge, refuse the lift.  The witness is
+    checked against h's hyperedges by topology.verify_incidence_witness,
+    so the cost follows the witness and the bisections, not h's size.
     """
     f0 = _dominated_base(f.exponents)
     if f0 is None:
         return None
     sigma = _prime_map(f0, f, _exponent_vectors(f0))
-    cofactor = f.n // sigma[f0.n]
-    index = {d: i for i, d in enumerate(h.vertices)}
-    vertex = {d: index.get(e * cofactor) for d, e in sigma.items()}
-    nv = len(h.vertices)
-    incident = [[] for _ in range(nv)]
-    for j, e in enumerate(h.edges):
-        for v in e:
-            incident[v].append(j)
-
-    @functools.cache
-    def node(label):
-        if not isinstance(label, frozenset):
-            return vertex.get(label)
-        image = [vertex.get(d) for d in label]
-        if None in image:
-            return None
-        common = set(incident[image[0]]).intersection(
-            *(incident[v] for v in image[1:]))
-        return nv + min(common) if common else None
-
+    top = sigma[f0.n]
+    cofactor = f.n // top
+    vertices, edges = h.vertices, h.edges
+    nv = len(vertices)
+    vertex = {d: _position(vertices, e * cofactor) for d, e in sigma.items()}
+    unreached = [p for p in f.primes if top % p]
+    hub = [_position(vertices, f.n // math.prod(unreached))] if unreached else []
     kind, base_edges = _BASE_WITNESSES[f0.n]
-    pairs = [(node(d), node(c)) for d, c in base_edges]
-    if any(u is None or v is None for u, v in pairs):
+    node = {}
+    for label in {c for _, c in base_edges}:
+        members = [vertex.get(d) for d in label] + hub
+        if None in members:
+            return None
+        j = _position(edges, tuple(sorted(members)))
+        if j is None:
+            return None
+        node[label] = nv + j
+    pairs = [(vertex.get(d), node[c]) for d, c in base_edges]
+    if any(u is None for u, _ in pairs):
         return None
-    g = topology.incidence_graph(h)
-    witness = topology.simple_graph(g.vertex_count, pairs)
-    if topology.verify_kuratowski_witness(g, witness) != kind:
+    witness = topology.simple_graph(nv + len(edges), pairs)
+    if topology.verify_incidence_witness(h, witness) != kind:
         return None
     return topology.PlanarityResult(False, witness=witness, witness_kind=kind)
 

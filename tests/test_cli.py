@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -36,6 +37,36 @@ def test_json_output_matches_golden(capsys, argv):
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert out == (GOLDEN / ("_".join(argv) + ".json")).read_text()
+
+
+# sha256 of `znhg analyze N --json` for each base and for three n with
+# primes that the lift's sigma does not reach (2310 over 210, 720720 over
+# 180, 9699690 over 210), as the full incidence graph checked them
+NONPLANAR_JSON_SHA256 = {
+    216: "84c81b1f6ebb572f1085292aa4168799b01b1bc7080059006f6253e98aaef580",
+    180: "ed119b2d12da09bd568dbdc3c9249f58bd6c94c6c0fa2613de10212003e50c34",
+    120: "16f4469cb19e43a3f906d6889dcf4efc09164f67576ceedf097737b2f554458c",
+    210: "dd3da832db9799ee6c1d0e51e3748b56b67d5cbd7a7b5057c344b09265393fe9",
+    2310: "d865745f554af6dc2b5c0c5d95d4356671035afc8ff0e15970dd0ada37846a5d",
+    720720: "ecb80bbc2ab95afa79104b935c2a1971252a7a367cf155d1e1680a812389ee9f",
+    9699690: "297c4383a324131d4b99dd57da1512ab09a7f6ac63c85edd031a047cd69b084b",
+}
+
+
+def test_nonplanar_analyze_builds_no_incidence_graph(capsys, monkeypatch):
+    # the lifted witness is checked against n's hyperedges, so a
+    # nonplanar analyze never builds the incidence graph, and its bytes
+    # stay those of the check on the incidence graph
+    from znhg import topology
+
+    def built(h):
+        raise AssertionError("incidence graph built")
+
+    monkeypatch.setattr(topology, "incidence_graph", built)
+    for n, digest in NONPLANAR_JSON_SHA256.items():
+        code, out, err = run(capsys, "analyze", str(n), "--json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, n
 
 
 def test_analyze_30_json(capsys):

@@ -3,12 +3,14 @@ from itertools import combinations
 
 import pytest
 
+from znhg import topology
 from znhg.arith import factorize
 from znhg.hypergraph import Hypergraph, build_intersection_hypergraph
 from znhg.topology import (SimpleGraph, component_count, hypergraph_planar,
                            incidence_graph, incidence_names, is_planar,
                            simple_graph, theta_rotation, to_dot,
-                           verify_kuratowski_witness, verify_rotation_system)
+                           verify_incidence_witness, verify_kuratowski_witness,
+                           verify_rotation_system)
 
 
 def build(n):
@@ -249,16 +251,137 @@ def test_rotation_verifier_counts_every_component():
 
 
 def test_kuratowski_verifier_reads_the_sides_off_the_contraction():
-    # triangular prism 0-1-2, 3-4-5 with rungs i -- i+3, the rung 2 -- 5
-    # subdivided by 6: six cubic branch vertices and 9 base edges, but
-    # the triangles make it not bipartite
-    prism = simple_graph(7, cycle([0, 1, 2]) + cycle([3, 4, 5])
-                         + [(0, 3), (1, 4), (2, 6), (6, 5)])
-    assert verify_kuratowski_witness(prism, prism) is None
-    # K33 with sides {0, 2, 4} and {1, 3, 5}, the edge 4 -- 5 subdivided
-    interleaved = simple_graph(7, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)
-                                   if (u, v) != (4, 5)] + [(4, 6), (6, 5)])
-    assert verify_kuratowski_witness(interleaved, interleaved) == "K33"
+    assert verify_kuratowski_witness(PRISM, PRISM) is None
+    assert verify_kuratowski_witness(INTERLEAVED, INTERLEAVED) == "K33"
+
+
+# K5 with the edge 3 -- 4 subdivided by 5
+SUBDIVIDED_K5 = simple_graph(6, [(u, v) for u, v in combinations(range(5), 2)
+                                 if (u, v) != (3, 4)] + [(3, 5), (4, 5)])
+# triangular prism 0-1-2, 3-4-5 with rungs i -- i+3, the rung 2 -- 5
+# subdivided by 6: six cubic branch vertices and 9 base edges, but the
+# triangles make it not bipartite
+PRISM = simple_graph(7, cycle([0, 1, 2]) + cycle([3, 4, 5])
+                     + [(0, 3), (1, 4), (2, 6), (6, 5)])
+# K33 with sides {0, 2, 4} and {1, 3, 5}, the edge 4 -- 5 subdivided
+INTERLEAVED = simple_graph(7, [(u, v) for u in (0, 2, 4) for v in (1, 3, 5)
+                               if (u, v) != (4, 5)] + [(4, 6), (6, 5)])
+# K33 and a triangle apart from it, whose degree-2 vertices no chain
+# from a branch vertex reaches
+K33_AND_TRIANGLE = simple_graph(9, complete_bipartite(3, 3).sorted_edges()
+                                + cycle([6, 7, 8]))
+
+
+@pytest.mark.parametrize("g,kind", [
+    (complete_graph(5), "K5"),
+    (complete_bipartite(3, 3), "K33"),
+    (SUBDIVIDED_K5, "K5"),
+    (PRISM, None),
+    (INTERLEAVED, "K33"),
+    (K33_AND_TRIANGLE, None),
+    (complete_graph(6), None),
+], ids=["K5", "K33", "subdivided K5", "prism", "interleaved",
+        "K33 and a triangle", "K6"])
+def test_structural_test_reads_each_kind(g, kind):
+    # the structural test alone, and through the host check with the
+    # graph as its own host, give the same answer
+    assert topology._kuratowski_kind(g.edges) == kind
+    assert verify_kuratowski_witness(g, g) == kind
+
+
+def _moved(h, witness, incident):
+    """witness with its first pair moved to the first vertex-hyperedge
+    pair outside it whose hyperedge holds its vertex (incident) or does
+    not; None if there is no such pair, as when witness is the whole
+    incidence graph."""
+    nv = len(h.vertices)
+    _, *rest = witness.sorted_edges()
+    pair = next(((u, w) for w in range(nv, witness.vertex_count)
+                 for u in range(nv) if (u in h.edges[w - nv]) == incident
+                 and (u, w) not in witness.edges), None)
+    return pair and simple_graph(witness.vertex_count, rest + [pair])
+
+
+def _relabelled(h, witness):
+    """witness with its least vertex node u renamed to the least vertex
+    node it does not touch, which keeps its shape; None if it touches
+    every vertex node."""
+    nv = len(h.vertices)
+    touched = {u for u, _ in witness.edges}
+    spare = next((x for x in range(nv) if x not in touched), None)
+    if spare is None:
+        return None
+    u = min(touched)
+    return simple_graph(witness.vertex_count,
+                        [(spare if x == u else x, w) for x, w in witness.edges])
+
+
+def test_incidence_witness_agrees_with_the_incidence_graph(builds5000):
+    # on every lifted witness of n <= 5000, on each with one pair moved
+    # off the incidence graph or onto another of its pairs, and on each
+    # with a vertex node renamed, which keeps the shape, so that only
+    # incidence can refuse it, the check on h's hyperedges answers as the
+    # check on the incidence graph
+    from znhg import verify
+
+    lifted = renamed_off = 0
+    for f, h in builds5000.values():
+        res = verify._lifted_planarity(f, h)
+        if res is None:
+            continue
+        lifted += 1
+        g = incidence_graph(h)
+        assert (verify_incidence_witness(h, res.witness)
+                == verify_kuratowski_witness(g, res.witness)
+                == res.witness_kind), f.n
+        for incident in (False, True):
+            w = _moved(h, res.witness, incident)
+            if w is None:
+                continue
+            want = verify_kuratowski_witness(g, w)
+            assert verify_incidence_witness(h, w) == want, (f.n, incident)
+            if not incident:
+                assert want is None
+        w = _relabelled(h, res.witness)
+        if w is not None:
+            want = verify_kuratowski_witness(g, w)
+            assert verify_incidence_witness(h, w) == want, f.n
+            renamed_off += want is None
+    assert lifted == 812 and renamed_off > 0
+
+
+def test_incidence_witness_rejects_non_incidences(monkeypatch):
+    # with the structural test made to accept anything, only the
+    # incidence conditions stand between each pair list and acceptance
+    monkeypatch.setattr(topology, "_kuratowski_kind", lambda edges: "K33")
+    h = build(216)
+    nv, total = len(h.vertices), len(h.vertices) + len(h.edges)
+
+    def check(count, pairs, host=h):
+        return verify_incidence_witness(host, simple_graph(count, pairs))
+
+    first = h.edges[0][0]
+    assert check(total, [(first, nv)]) == "K33"
+    # a vertex-vertex pair (u, v) with u on hyperedge v - |V| counted
+    # from the end, so that only the test w >= |V| refuses it
+    v = nv - 1
+    u = h.edges[v - nv][0]
+    assert u < v
+    assert check(total, [(u, v)]) is None
+    # a vertex that is not on the hyperedge
+    off = next(x for x in range(nv) if x not in h.edges[0])
+    assert check(total, [(off, nv)]) is None
+    # a vertex count other than |V| + |E|, either way
+    assert check(total + 1, [(first, nv)]) is None
+    assert check(total - 1, [(first, nv)]) is None
+    # a node past the last hyperedge, which only a larger count admits
+    assert check(total + 1, [(first, total)]) is None
+    # a malformed h whose second hyperedge names node 2, past its two
+    # vertices: membership alone would pass the hyperedge-hyperedge pair
+    # (2, 3), and only the test u < |V| refuses it
+    bad = Hypergraph((2, 3), ((0, 1), (1, 2)))
+    assert check(4, [(1, 3)], bad) == "K33"
+    assert check(4, [(2, 3)], bad) is None
 
 
 def test_removing_hyperedges_preserves_planarity():
