@@ -14,7 +14,7 @@ claims are certified.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .arith import Factorization
 
@@ -51,8 +51,9 @@ class Classification:
     projective: bool
 
     def to_json_dict(self) -> dict:
-        return {fld.name: encode_infinite(getattr(self, fld.name))
-                for fld in fields(self)}
+        # the instance dict holds exactly the fields, in declaration order
+        return {name: encode_infinite(value)
+                for name, value in vars(self).items()}
 
     @staticmethod
     def from_json_dict(d: dict) -> "Classification":

@@ -151,13 +151,12 @@ def cmd_export(args) -> int:
     elif args.target == "hypergraph":
         text = verify.json_with_label_arrays(
             {"schema": SCHEMA, "kind": "hypergraph", "n": args.n},
-            h.vertices, h.edge_label_sets()) + "\n"
+            h.vertices, h.edges) + "\n"
     else:
-        names = list(map(verify.dumps, topology.incidence_names(h)))
         text = verify.json_with_label_arrays(
-            {"schema": SCHEMA, "kind": "incidence", "n": args.n}, names,
-            ((names[u], names[v])
-             for u, v in topology.incidence_graph(h).sorted_edges()),
+            {"schema": SCHEMA, "kind": "incidence", "n": args.n},
+            map(verify.dumps, topology.incidence_names(h)),
+            topology.incidence_graph(h).sorted_edges(),
             ("nodes", "links")) + "\n"
     if args.output:
         try:

@@ -65,13 +65,6 @@ class SimpleGraph:
             adj[v].add(u)
         return adj
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.vertex_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
 
 def simple_graph(vertex_count: int, pairs) -> SimpleGraph:
     """Normalize an edge list into a SimpleGraph."""

@@ -72,6 +72,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
@@ -119,8 +120,11 @@ def dumps(value, indent: str = "\n") -> str:
         # encode_basestring_ascii raises TypeError on a key that is no str
         items = []
         for key in sorted(value):
-            items.append(f"{encode_basestring_ascii(key)}: "
-                         f"{dumps(value[key], inner)}")
+            # a scalar value is encoded here, without a call to dumps
+            item = value[key]
+            encode = _SCALARS.get(type(item))
+            body = dumps(item, inner) if encode is None else encode(item)
+            items.append(f"{encode_basestring_ascii(key)}: {body}")
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list or kind is tuple:
         if not value:
@@ -137,20 +141,24 @@ def dumps(value, indent: str = "\n") -> str:
 
 def json_with_label_arrays(doc: dict, vertices, edges,
                            keys=("vertices", "edges")) -> str:
-    """dumps(doc) with two top-level keys added: keys[0] lists the
-    distinct labels in vertices, keys[1] the label sequences in edges,
-    none of them empty.  Labels are integers, or strings that are already
-    JSON-encoded.
+    """dumps(doc) with two top-level keys added: keys[0] lists the labels
+    in vertices, which are distinct, and keys[1] the label sequences of
+    edges, each a nonempty tuple of positions into vertices, as
+    Hypergraph.edges holds them.  Labels are integers, or strings that
+    are already JSON-encoded.
 
-    Each label is converted to decimal once, which for labels of hundreds
-    of digits is most of the cost, and the arrays are written by str.join
-    alone: one join per label sequence, and one over the sequences."""
+    Each label is converted to text once, into a list indexed by
+    position, which for labels of hundreds of digits is most of the
+    cost, and the arrays are written by str.join alone: one join per
+    position tuple, and one over the tuples."""
     parts = {key: dumps(value, "\n  ") for key, value in doc.items()}
-    text = {d: str(d) for d in vertices}
-    labels = ",\n    ".join(text.values())
-    rows = "\n    ],\n    [\n      ".join(
-        map(",\n      ".join, map(functools.partial(map, text.__getitem__),
-                                  edges)))
+    text = list(map(str, vertices))
+    labels = ",\n    ".join(text)
+    # itemgetter gives the labels of two or more positions as a tuple,
+    # which join takes without a copy, and of one position the bare label
+    rows = "\n    ],\n    [\n      ".join([
+        ",\n      ".join(operator.itemgetter(*e)(text)) if len(e) > 1
+        else text[e[0]] for e in edges])
     parts[keys[0]] = f"[\n    {labels}\n  ]" if labels else "[]"
     parts[keys[1]] = f"[\n    [\n      {rows}\n    ]\n  ]" if rows else "[]"
     return ("{\n" + ",\n".join(f"  {encode_basestring_ascii(key)}: "
@@ -171,7 +179,8 @@ class AnalysisReport:
     n: int
     factors: tuple[tuple[int, int], ...]
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, ...], ...]  # generator sets
+    # each hyperedge as positions into vertices, as in Hypergraph.edges
+    edges: tuple[tuple[int, ...], ...]
     computed: dict
     predicted: Classification
     agreement: dict
@@ -209,11 +218,14 @@ class AnalysisReport:
         if doc.get("schema") != SCHEMA:
             raise ValueError(f"unsupported schema {doc.get('schema')!r}")
 
+        vertices = tuple(doc["vertices"])
+        position = {d: i for i, d in enumerate(vertices)}
         return AnalysisReport(
             n=doc["n"],
             factors=tuple((p, a) for p, a in doc["factorization"]),
-            vertices=tuple(doc["vertices"]),
-            edges=tuple(tuple(e) for e in doc["edges"]),
+            vertices=vertices,
+            edges=tuple(tuple(map(position.__getitem__, e))
+                        for e in doc["edges"]),
             computed={k: decode_infinite(v) for k, v in doc["computed"].items()},
             predicted=Classification.from_json_dict(doc["predicted"]),
             agreement={
@@ -244,7 +256,7 @@ def analyze(n: int, host_tree_limit: int = DEFAULT_HOST_TREE_LIMIT) -> AnalysisR
                                host_tree_limit)
     agreement = {fld: FieldComparison(comp, predicted, agree, "computed")
                  for _, fld, comp, predicted, agree, _, _ in rows}
-    return AnalysisReport(n, f.factors, h.vertices, h.edge_label_sets(),
+    return AnalysisReport(n, f.factors, h.vertices, h.edges,
                           computed, pred, agreement, host_tree_limit)
 
 
@@ -256,10 +268,11 @@ def render_report(report: AnalysisReport) -> str:
     if not report.vertices:
         lines.append("hypergraph: empty (n has at most one prime divisor)")
     else:
-        lines.append(f"vertices ({len(report.vertices)}): "
-                     + " ".join(f"<{d}>" for d in report.vertices))
+        text = list(map(str, report.vertices))
+        lines.append(f"vertices ({len(text)}): "
+                     + " ".join(f"<{d}>" for d in text))
         lines.append(f"hyperedges ({len(report.edges)}): "
-                     + " ".join("{" + ",".join(map(str, e)) + "}"
+                     + " ".join("{" + ",".join(map(text.__getitem__, e)) + "}"
                                 for e in report.edges))
     lines.append("field           computed    predicted   agree  mode")
     pred_dict = report.predicted.to_json_dict()

@@ -69,6 +69,48 @@ def test_nonplanar_analyze_builds_no_incidence_graph(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, n
 
 
+def test_analyze_and_export_build_no_label_tuples(capsys, monkeypatch):
+    # the report and the exports hold hyperedges as positions into the
+    # vertices, so no request converts them to label tuples, and their
+    # bytes stay the goldens, the pinned hashes and the label sets' text
+    from znhg.hypergraph import Hypergraph
+
+    expected_json = {int(p.stem.split("_")[1]): p.read_text()
+                     for p in GOLDEN.glob("analyze_*.json")}
+    assert sorted(expected_json) == [8, 30, 216, 840]
+    exports = {}
+    lines = {}
+    for n in [*expected_json, *NONPLANAR_JSON_SHA256]:
+        labels = build_intersection_hypergraph(factorize(n)).edge_label_sets()
+        lines[n] = f"hyperedges ({len(labels)}): " + " ".join(
+            "{" + ",".join(map(str, e)) + "}" for e in labels)
+    for n in (30, 216, 2310):
+        for target in ("hypergraph", "incidence"):
+            argv = ("export", str(n), "--format", "json", "--target", target)
+            exports[argv] = run(capsys, *argv)
+
+    def built(h):
+        raise AssertionError("label tuples built")
+
+    monkeypatch.setattr(Hypergraph, "edge_label_sets", built)
+    for n in [*expected_json, *NONPLANAR_JSON_SHA256]:
+        code, out, err = run(capsys, "analyze", str(n), "--json")
+        assert (code, err) == (0, ""), n
+        if n in expected_json:
+            assert out == expected_json[n], n
+        else:
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == NONPLANAR_JSON_SHA256[n], n
+        code, out, err = run(capsys, "analyze", str(n))
+        assert (code, err) == (0, ""), n
+        if n == 8:
+            assert "hyperedges" not in out and "empty" in out
+        else:
+            assert lines[n] in out.splitlines(), n
+    for argv, before in exports.items():
+        assert run(capsys, *argv) == before, argv
+
+
 def test_analyze_30_json(capsys):
     code, out, _ = run(capsys, "analyze", "30", "--json")
     assert code == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from znhg.arith import Factorization, factorize_range
+from znhg.arith import Factorization, factorize, factorize_range
 from znhg.hypergraph import build_intersection_hypergraph
 from znhg.metrics import has_host_tree
 from znhg.verify import (ALL_CHECKS, AnalysisReport, analyze, cached_host_tree,
@@ -17,7 +17,9 @@ from znhg.verify import (ALL_CHECKS, AnalysisReport, analyze, cached_host_tree,
 
 def test_analyze_30():
     r = analyze(30)
-    assert r.edges == ((2, 15), (3, 10), (5, 6), (6, 10, 15))
+    assert r.vertices == (2, 3, 5, 6, 10, 15)
+    # hyperedges are positions into vertices, as in Hypergraph.edges
+    assert r.edges == ((0, 5), (1, 4), (2, 3), (3, 4, 5))
     assert r.computed["diameter"] == 3
     assert r.computed["girth"] == math.inf
     assert r.computed["star"] is False
@@ -44,20 +46,39 @@ def _assert_json_round_trips(r):
     # to_json writes the label arrays by hand; json.dumps is the reference
     text = r.to_json()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True), r.n
-    assert AnalysisReport.from_json(text) == r, r.n
+    back = AnalysisReport.from_json(text)
+    assert back == r, r.n
+    h = build_intersection_hypergraph(factorize(r.n))
+    assert back.edges == h.edges, r.n
+    assert json.loads(text)["edges"] == [list(e) for e in h.edge_label_sets()]
+
+
+def _assert_text_hyperedges(r):
+    # render_report maps positions to labels; h's own label sets are the
+    # reference for its hyperedge line
+    labels = build_intersection_hypergraph(factorize(r.n)).edge_label_sets()
+    line = f"hyperedges ({len(labels)}): " + " ".join(
+        "{" + ",".join(map(str, e)) + "}" for e in labels)
+    lines = render_report(r).splitlines()
+    assert (line in lines) == bool(labels), r.n
+    assert sum(x.startswith("hyperedges") for x in lines) == bool(labels), r.n
 
 
 def test_report_json_round_trip():
     # prime powers (empty arrays), stars, squarefree, nonplanar,
-    # genus-one and larger omega all occur below 2000
-    for n in range(2, 2001):
-        _assert_json_round_trips(analyze(n))
+    # genus-one and omega up to 4 occur below 2000; the last three n
+    # have omega 5, 6 and 6
+    for n in [*range(2, 2001), 2310, 30030, 720720]:
+        r = analyze(n)
+        _assert_json_round_trips(r)
+        _assert_text_hyperedges(r)
 
 
 def test_report_json_with_labels_above_a_million():
     r = analyze(2 * 1000003 * 1000033)
     assert sorted(r.vertices)[1] > 10**6
     _assert_json_round_trips(r)
+    _assert_text_hyperedges(r)
 
 
 GOLDEN = Path(__file__).parent / "golden"
