@@ -16,7 +16,8 @@ from .hypergraph import (Hypergraph, build_comaximal_hypergraph,
                          comaximal, trivially_intersects, vertex_set)
 from .metrics import (HostTreeResult, chromatic_number, constructive_two_coloring,
                       diameter, distance, girth, has_host_tree, is_connected,
-                      is_star, isomorphic, verify_host_tree, verify_isomorphism)
+                      is_star, isomorphic, verify_host_tree, verify_isomorphism,
+                      verify_relabelling)
 from .topology import (PlanarityResult, SimpleGraph, hypergraph_planar,
                        incidence_graph, is_planar, to_dot,
                        verify_kuratowski_witness, verify_rotation_system)

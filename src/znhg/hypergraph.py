@@ -17,9 +17,10 @@ masks.  A vertex of the second carries its support mask, bit i set iff
 the i-th prime divides d, and gcd(d, d') = 1 iff the supports are
 disjoint.  d -> n/d swaps the two masks.  Both masks of every divisor
 come from one table of (d, deficiency mask, support mask) rows, ascending
-by d; each builder filters its own column, and the table of the last n
-is kept, so building both hypergraphs of one n enumerates its divisors
-once and memory does not grow with the number of n built.
+by d, and one walk of it gives both hypergraphs' label and mask columns.
+The columns of the last n are kept, so building both hypergraphs of one
+n enumerates and filters its divisors once, and memory does not grow
+with the number of n built.
 
 Either way compatibility depends on the mask alone, and vertices of one
 mask class have the same neighbours and are never compatible with each
@@ -36,9 +37,10 @@ masks alone, in ascending label order, and a sweep meets the same
 sequences again and again.  So _index_edges, which expands the class
 cliques, is memoized on that sequence by an EdgeMemo: an LRU memo that
 keeps no more than EDGE_BUDGET hyperedges across its entries and keeps no
-result larger than that at all.  metrics.verify_isomorphism memoizes its
-edge comparison the same way.  Every n is still built on its own labels,
-and memory does not grow with the number of n built.
+result larger than that at all.  metrics.verify_relabelling memoizes its
+edge comparison the same way, keyed by the ids of the edge tuples, which
+each entry holds.  Every n is still built on its own labels, and memory
+does not grow with the number of n built.
 """
 
 from __future__ import annotations
@@ -212,8 +214,7 @@ def _divisor_table(f: Factorization) -> tuple[tuple[int, int, int], ...]:
     ascending by d.  Bit i of the deficiency mask is set iff the exponent
     r of the i-th prime in d is below alpha_i, and bit i of the support
     mask iff r > 0.  Divisors are built from their exponents as in
-    arith.divisors.  One entry is kept, so building both hypergraphs of
-    one n enumerates its divisors once.
+    arith.divisors.
     """
     rows = [(1, 0, 0)]
     for i, (p, a) in enumerate(f.factors):
@@ -223,33 +224,45 @@ def _divisor_table(f: Factorization) -> tuple[tuple[int, int, int], ...]:
     return tuple(rows)
 
 
-def vertex_set(f: Factorization) -> list[tuple[int, int]]:
-    """Vertices of the trivial-intersection hypergraph as (generator,
-    deficiency mask) pairs, ascending by generator: the deficiency column
-    of the divisor table.
+@functools.lru_cache(maxsize=1)
+def _columns(f: Factorization) -> tuple[tuple[tuple, tuple], tuple[tuple, tuple]]:
+    """((labels, deficiency masks), (labels, support masks)): the vertices
+    of the trivial-intersection and of the co-maximal hypergraph, each
+    ascending by label, from one walk of the divisor table.  One entry
+    is kept, so building both hypergraphs of one n walks it once.
 
-    <d> qualifies iff its mask is neither full (some exponent is full,
-    which excludes d = 1) nor 0 (d = n): then any divisor whose mask is
-    the complement is a partner.  Empty when omega(n) <= 1.
+    <d> is a vertex of the first iff its deficiency mask is neither full
+    (some exponent is full, which excludes d = 1) nor 0 (d = n): then any
+    divisor whose mask is the complement is a partner.  It is a vertex of
+    the second iff its support is neither full nor 0 (d = 1): a prime p
+    of n that does not divide d is then a partner, since p < n, as d > 1
+    brings another prime, and p != d, as p divides itself but not d.
+    Conversely every prime of a coprime partner e is a prime of n that
+    does not divide d.  Both are empty when omega(n) <= 1.
     """
     full = (1 << f.omega) - 1
-    return [(d, m) for d, m, _ in _divisor_table(f) if 0 < m < full]
+    labels, masks, co_labels, co_masks = [], [], [], []
+    for d, m, s in _divisor_table(f):
+        if 0 < m < full:
+            labels.append(d)
+            masks.append(m)
+        if 0 < s < full:
+            co_labels.append(d)
+            co_masks.append(s)
+    return ((tuple(labels), tuple(masks)),
+            (tuple(co_labels), tuple(co_masks)))
+
+
+def vertex_set(f: Factorization) -> list[tuple[int, int]]:
+    """Vertices of the trivial-intersection hypergraph as (generator,
+    deficiency mask) pairs, ascending by generator."""
+    return list(zip(*_columns(f)[0]))
 
 
 def support_set(f: Factorization) -> list[tuple[int, int]]:
     """Vertices of the co-maximal hypergraph as (generator, support mask)
-    pairs, ascending by generator: the support column of the divisor
-    table.
-
-    <d> is coprime to some other proper nontrivial divisor iff some prime
-    p of n does not divide d, that is iff its support is not full; a
-    support of 0 is d = 1.  Then p is such a partner: p < n since d > 1
-    brings another prime, and p != d since p divides itself but not d.
-    Conversely every prime of a coprime partner e is a prime of n that
-    does not divide d.  Empty when omega(n) <= 1.
-    """
-    full = (1 << f.omega) - 1
-    return [(d, s) for d, _, s in _divisor_table(f) if 0 < s < full]
+    pairs, ascending by generator."""
+    return list(zip(*_columns(f)[1]))
 
 
 def intersection_edge_count(f: Factorization) -> int:
@@ -310,25 +323,32 @@ class EdgeMemo:
     the least recently used entries are evicted while the total, pinned,
     exceeds EDGE_BUDGET, read at call time; a result that alone exceeds it
     is returned and not kept.
+
+    Entries are keyed by the arguments, or by key(*args) when key is
+    given, which may name an argument by its id.  Each entry holds the
+    arguments, so no object that a live key names can be freed and its id
+    taken by another.
     """
 
-    def __init__(self, fn, cost):
+    def __init__(self, fn, cost, key=None):
         self._fn = fn
         self._cost = cost
+        self._key = key
         self._entries: OrderedDict = OrderedDict()
         self.pinned = 0
         functools.update_wrapper(self, fn)
 
     def __call__(self, *args):
         entries = self._entries
-        entry = entries.get(args)
+        key = args if self._key is None else self._key(*args)
+        entry = entries.get(key)
         if entry is not None:
-            entries.move_to_end(args)
+            entries.move_to_end(key)
             return entry[0]
         result = self._fn(*args)
         cost = max(self._cost(args, result), 1)
         if cost <= EDGE_BUDGET:
-            entries[args] = result, cost
+            entries[key] = result, cost, args
             self.pinned += cost
             while self.pinned > EDGE_BUDGET:
                 self.pinned -= entries.popitem(last=False)[1][1]
@@ -339,9 +359,9 @@ class EdgeMemo:
         self.pinned = 0
 
 
-def edge_memo(cost):
+def edge_memo(cost, key=None):
     """Decorator form of EdgeMemo."""
-    return functools.partial(EdgeMemo, cost=cost)
+    return functools.partial(EdgeMemo, cost=cost, key=key)
 
 
 @edge_memo(lambda args, edges: len(edges))
@@ -369,19 +389,13 @@ def _index_edges(vertex_masks: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(edges)
 
 
-def _build_on_mask_classes(pairs: list[tuple[int, int]]) -> Hypergraph:
-    """The hypergraph of maximal families with pairwise disjoint masks,
-    on (label, nonzero mask) pairs in ascending label order: the labels
-    over _index_edges of the masks."""
-    labels, vertex_masks = tuple(zip(*pairs)) or ((), ())
-    return Hypergraph(labels, _index_edges(vertex_masks))
-
-
 def build_intersection_hypergraph(f: Factorization) -> Hypergraph:
     """The trivial-intersection hypergraph of Z_n on generator labels."""
-    return _build_on_mask_classes(vertex_set(f))
+    labels, masks = _columns(f)[0]
+    return Hypergraph(labels, _index_edges(masks))
 
 
 def build_comaximal_hypergraph(f: Factorization) -> Hypergraph:
     """The co-maximal hypergraph of Z_n on generator labels."""
-    return _build_on_mask_classes(support_set(f))
+    labels, masks = _columns(f)[1]
+    return Hypergraph(labels, _index_edges(masks))

@@ -7,7 +7,7 @@ from exact backtracking, host trees from a maximum-weight spanning tree
 of co-membership counts, and isomorphism from pruned bijection search --
 all answers are exact, never heuristic.  The isomorphism search serves
 the group engine and the tests; the Z_n harness checks explicit maps
-with verify_isomorphism.
+with verify_relabelling.
 
 The Z_n harness also takes diameter, girth and star from witnesses that
 check_diameter, check_girth and check_star accept on the hypergraph
@@ -17,12 +17,15 @@ around: diameter, girth, is_star and chromatic_number serve the tests
 as independent oracles.  This module imports nothing from verify, where
 the witnesses are built.
 
-verify_isomorphism checks a map's labels in one pass on every call,
-then compares the edge sets through _maps_edges_onto, a pure function of
-the two edge tuples and the map as vertex positions.  A sweep compares
-the same index-level inputs again and again, so it is memoized by a
+verify_relabelling is the one checker of an explicit map.  It takes the
+map as the image of each of h1's labels, in h1's vertex order, checks
+the images against h2's labels in one pass on every call, then compares
+the edge sets through _maps_edges_onto, a pure function of the two edge
+tuples and the map as vertex positions.  A sweep compares the same
+index-level inputs again and again, so it is memoized by a
 hypergraph.EdgeMemo, which keeps at most hypergraph.EDGE_BUDGET
-hyperedges across its entries.
+hyperedges across its entries.  verify_isomorphism takes the map as a
+dict, for the tests and the group command, and passes its images on.
 """
 
 from __future__ import annotations
@@ -506,29 +509,45 @@ def isomorphic(h1: Hypergraph, h2: Hypergraph):
     return False, None
 
 
-def verify_isomorphism(h1: Hypergraph, h2: Hypergraph, mapping: dict) -> bool:
-    """Check a claimed witness bijection maps hyperedges onto hyperedges.
+def verify_relabelling(h1: Hypergraph, h2: Hypergraph, images) -> bool:
+    """Check that h1.vertices[i] -> images[i] is a bijection onto h2's
+    labels that maps hyperedges onto hyperedges.
 
-    The keys must be h1's labels and the values h2's, without repeats;
-    then the edges, which must be tuples as Hypergraph holds them, are
-    compared by the memoized _maps_edges_onto.  Each hypergraph's labels
-    must be distinct, as Hypergraph.validate requires and every builder
-    guarantees: then one pass decides the labels.  A label of h1 with no
-    image in h2 gets position count, which no vertex of h2 has.
+    images is a sequence, one image per label of h1 in h1's vertex order.
+    One pass finds each image's position in h2.  An image that is no
+    label of h2, such as the sentinel a caller gives a label it cannot
+    map, gets position count, which no vertex of h2 has, and refuses the
+    map, as does an image taken twice.  h2's labels must be distinct, as
+    Hypergraph.validate requires and every builder guarantees.  Then the
+    edges, which must be tuples as Hypergraph holds them, are compared by
+    the memoized _maps_edges_onto.
     """
     count = len(h1.vertices)
-    if not len(mapping) == count == len(h2.vertices):
+    if not len(images) == count == len(h2.vertices):
         return False
     index2 = {lab: i for i, lab in enumerate(h2.vertices)}
-    to2 = array("I", map(index2.get,
-                         map(mapping.get, h1.vertices, repeat(object())),
-                         repeat(count)))
+    to2 = array("I", map(index2.get, images, repeat(count)))
     if count in to2 or len(set(to2)) != count:
         return False
     return _maps_edges_onto(h1.edges, h2.edges, to2.tobytes())
 
 
-@edge_memo(lambda args, _: len(args[0]) + len(args[1]))
+def verify_isomorphism(h1: Hypergraph, h2: Hypergraph, mapping: dict) -> bool:
+    """Check a claimed witness bijection, given as a dict from h1's labels
+    to h2's, with verify_relabelling.
+
+    The keys must be exactly h1's labels, whose count they match when
+    each label has an image; a label without one gets a sentinel that no
+    hypergraph holds, which verify_relabelling refuses.
+    """
+    if len(mapping) != len(h1.vertices):
+        return False
+    return verify_relabelling(h1, h2, list(map(
+        mapping.get, h1.vertices, repeat(object()))))
+
+
+@edge_memo(lambda args, _: len(args[0]) + len(args[1]),
+           key=lambda edges1, edges2, to2: (id(edges1), id(edges2), to2))
 def _maps_edges_onto(edges1: tuple, edges2: tuple, to2: bytes) -> bool:
     """True iff position i -> to2[i] maps the edges of edges1 onto
     those of edges2.

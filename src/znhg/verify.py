@@ -9,7 +9,8 @@ one evaluator, _evaluate(), where each check is defined once.  analyze
 runs every check but iso, and a sweep takes iso at each n from _iso_row.
 
 No isomorphism is searched for.  The iso check verifies the explicit
-map d -> n/d, exact because gcd(n/d, n/d') = n/lcm(d, d').
+map d -> n/d, exact because gcd(n/d, n/d') = n/lcm(d, d'), given to
+metrics.verify_relabelling as the image of each vertex of h.
 
 A sweep evaluates each exponent pattern once per process.  n0 of a
 sorted pattern is its smallest n, the exponents in descending order on
@@ -17,12 +18,17 @@ sorted pattern is its smallest n, the exponents in descending order on
 _evaluate, every selected check but iso, and keeps the rows for the
 life of the process, so n0 is the same for every range and every sweep.
 Every n builds its own hypergraph h, takes n0's rows, once
-metrics.verify_isomorphism accepts the prime relabelling sigma from h0
+metrics.verify_relabelling accepts the prime relabelling sigma from h0
 onto h unless n is n0, and adds its own iso row on h; no iso row is kept.
-A prime power p^a is the pattern (a,): h0 and sigma are empty,
-which the check accepts exactly when h is empty too.  Each carried
-value is then certified by n0's checked certificate plus a checked
-isomorphism, and a refused sigma makes each carried row "uncertified".
+sigma is given as the image of each of h0's labels, computed from their
+exponent vectors on n0, which the base keeps in h0's vertex order.  A
+prime power p^a is the pattern (a,): h0 and sigma are empty, which the
+check accepts exactly when h is empty too.  Each carried value is then
+certified by n0's checked certificate plus a checked isomorphism, and a
+refused sigma makes each carried row "uncertified".  An n whose base has
+no row to carry and no iso row due, such as a prime power in a sweep
+that does not check emptiness, has nothing to certify, and nothing is
+built for it.
 A defect that depends on the primes themselves, not on the pattern
 alone, shows only where its n is evaluated: in analyze, or at a
 pattern's smallest n, which carries it to every n of the pattern.
@@ -416,8 +422,14 @@ _BASES = tuple(map(factorize, _BASE_WITNESSES))
 
 def _by_exponent(exponents: tuple[int, ...]) -> list[int]:
     """Indices of n's primes by descending exponent, ties in prime order:
-    the order in which _prime_map pairs the primes of two n."""
+    the order in which sigma pairs the primes of two n."""
     return sorted(range(len(exponents)), key=lambda i: -exponents[i])
+
+
+def _ranked_primes(f: Factorization) -> list[int]:
+    """n's primes in _by_exponent order: sigma sends the i-th prime of n0
+    to the i-th prime of n."""
+    return [f.factors[j][0] for j in _by_exponent(f.exponents)]
 
 
 @functools.cache
@@ -433,14 +445,12 @@ def _exponent_vectors(f0: Factorization) -> dict:
     return vectors
 
 
-def _prime_map(f0: Factorization, f: Factorization, labels) -> dict:
-    """sigma on the labels that divide n0: the i-th prime of n0 goes to the
-    i-th prime of n, both in _by_exponent order, and a divisor goes where
-    its prime powers go."""
-    vectors = _exponent_vectors(f0)
-    primes = [f.factors[j][0] for j in _by_exponent(f.exponents)]
-    return {d: math.prod(map(pow, primes, vectors[d]))
-            for d in labels if d in vectors}
+def _prime_map(f0: Factorization, f: Factorization) -> dict:
+    """sigma on the divisors of n0: a divisor goes where its prime powers
+    go under _ranked_primes."""
+    primes = _ranked_primes(f)
+    return {d: math.prod(map(pow, primes, r))
+            for d, r in _exponent_vectors(f0).items()}
 
 
 def _dominated_base(exponents: tuple[int, ...]) -> Factorization | None:
@@ -482,7 +492,7 @@ def _lifted_planarity(f: Factorization,
     f0 = _dominated_base(f.exponents)
     if f0 is None:
         return None
-    sigma = _prime_map(f0, f, _exponent_vectors(f0))
+    sigma = _prime_map(f0, f)
     top = sigma[f0.n]
     cofactor = f.n // top
     vertices, edges = h.vertices, h.edges
@@ -619,7 +629,8 @@ def _row(check, fld, computed, predicted, computed_text=None,
 def _iso_row(f: Factorization, h: Hypergraph) -> tuple:
     """The iso row: d -> n/d checked from h onto n's co-maximal hypergraph."""
     co = build_comaximal_hypergraph(f)
-    ok = metrics.verify_isomorphism(h, co, {d: f.n // d for d in h.vertices})
+    n = f.n
+    ok = metrics.verify_relabelling(h, co, [n // d for d in h.vertices])
     return _row("iso", "iso", ok, True,
                 computed_text="isomorphic" if ok else "NOT isomorphic",
                 predicted_text="isomorphic")
@@ -700,10 +711,14 @@ def _sweep_one(f: Factorization, h: Hypergraph, checks,
     return f.n, rows, int(facts.get("host_tree") == "unknown")
 
 
-def _relabelling(f0: Factorization, h0: Hypergraph, f: Factorization) -> dict:
-    """_prime_map from n0 to n on h0's labels.  A label that is no divisor
-    of n0 has no image, and verify_isomorphism refuses the partial map."""
-    return _prime_map(f0, f, h0.vertices)
+def _relabelling(vectors0: tuple, f: Factorization) -> list:
+    """sigma's image in n of each label of h0, in h0's vertex order, from
+    the labels' exponent vectors, as _prime_map maps a divisor of n0.  A
+    label that is no divisor of n0 has the vector None and the image
+    None, which verify_relabelling refuses."""
+    primes = _ranked_primes(f)
+    return [None if r is None else math.prod(map(pow, primes, r))
+            for r in vectors0]
 
 
 def _smallest(pattern: tuple[int, ...]) -> Factorization:
@@ -718,33 +733,39 @@ def _smallest(pattern: tuple[int, ...]) -> Factorization:
 @functools.cache
 def _pattern_base(pattern: tuple[int, ...], checks,
                   host_tree_limit: int) -> tuple:
-    """(f0, h0, rows0, unknown0) for n0 = _smallest(pattern), evaluated
-    through _sweep_one on every selected check but iso, which belongs to
-    each n itself.  Kept for the life of the process: one entry per
-    (pattern, checks, limit), and 288 patterns have their smallest n
-    within RANGE_LIMIT, 269 of two or more primes and the 19 prime powers
-    2^1..2^19."""
+    """(f0, h0, vectors0, rows0, unknown0) for n0 = _smallest(pattern),
+    evaluated through _sweep_one on every selected check but iso, which
+    belongs to each n itself; vectors0 holds the exponent vectors of h0's
+    labels for _relabelling, None for a label that does not divide n0.
+    Kept for the life of the process: one entry per (pattern, checks,
+    limit), and 288 patterns have their smallest n within RANGE_LIMIT,
+    269 of two or more primes and the 19 prime powers 2^1..2^19."""
     f0 = _smallest(pattern)
     h0 = build_intersection_hypergraph(f0)
+    vectors0 = tuple(map(_exponent_vectors(f0).get, h0.vertices))
     _, rows0, unknown0 = _sweep_one(f0, h0, [c for c in checks if c != "iso"],
                                     host_tree_limit)
-    return f0, h0, rows0, unknown0
+    return f0, h0, vectors0, rows0, unknown0
 
 
 def _sweep_outcome(n: int, checks, host_tree_limit: int) -> tuple:
     """n's outcome (n, rows, unknown): its pattern's base rows, each made
-    "uncertified" if n is not n0 and verify_isomorphism refuses the prime
+    "uncertified" if n is not n0 and verify_relabelling refuses the prime
     relabelling from h0 onto n's hypergraph h, then n's own iso row on h
-    if iso is selected and h0 is nonempty."""
+    if iso is selected and h0 is nonempty.  With no base row and no iso
+    row there is nothing to certify, and h is not built."""
     f = factorize(n)
-    f0, h0, rows, unknown = _pattern_base(tuple(sorted(f.exponents)), checks,
-                                          host_tree_limit)
+    f0, h0, vectors0, rows, unknown = _pattern_base(
+        tuple(sorted(f.exponents)), checks, host_tree_limit)
+    iso = "iso" in checks and not h0.is_empty
+    if not rows and not iso:
+        return n, rows, unknown
     h = build_intersection_hypergraph(f)
-    if f0.n != n and not metrics.verify_isomorphism(
-            h0, h, _relabelling(f0, h0, f)):
+    if f0.n != n and not metrics.verify_relabelling(
+            h0, h, _relabelling(vectors0, f)):
         rows = [_row(check, fld, UNCERTIFIED, predicted, predicted_text=text)
                 for check, fld, _, predicted, _, _, text in rows]
-    if "iso" in checks and not h0.is_empty:
+    if iso:
         rows = [*rows, _iso_row(f, h)]
     return n, rows, unknown
 
@@ -759,19 +780,21 @@ def run_sweep(lo: int, hi: int, checks=ALL_CHECKS,
     once per process on every selected check but iso; a prime power p^a
     has the pattern (a,) and n0 = 2^a.  Every n builds its own hypergraph
     h and takes n0's rows; unless n is n0, a relabelling from h0 onto h
-    that metrics.verify_isomorphism refuses makes each "uncertified", a
+    that metrics.verify_relabelling refuses makes each "uncertified", a
     finding.  iso is n's own, checked on h at every n of a pattern with a
-    nonempty hypergraph and never kept.  So an n's outcome depends
-    neither on lo nor on the sweeps run before.  Outcomes are folded in ascending n
-    for every jobs value: jobs > 1 maps the same function with Pool.imap,
-    which keeps order, _BLOCK values of n per task, and each worker
-    process evaluates the patterns it meets, so output is identical
-    across concurrency levels.  Memory does not grow with the range: one
-    base and one table of divisor exponents per pattern (and per base of
-    the planarity lift) are kept for the life of the process, one divisor
-    table, of the last n built, and the two memos of index-level builds
-    and edge comparisons keep at most hypergraph.EDGE_BUDGET hyperedges
-    each.  jobs above the CPU count are capped to it.
+    nonempty hypergraph and never kept.  An n with neither builds
+    nothing.  So an n's outcome depends neither on lo nor on the sweeps
+    run before.  Outcomes are folded in ascending n for every jobs value:
+    jobs > 1 maps the same function with Pool.imap, which keeps order,
+    _BLOCK values of n per task, and each worker process evaluates the
+    patterns it meets, so output is identical across concurrency levels.
+    Memory does not grow with the range: one base and one table of
+    divisor exponents per pattern (and per base of the planarity lift)
+    are kept for the life of the process, one divisor table and its
+    vertex columns, of the last n built, and the two memos of
+    index-level builds and edge comparisons keep at most
+    hypergraph.EDGE_BUDGET hyperedges each.  jobs above the CPU count
+    are capped to it.
     """
     if not 2 <= lo <= hi:
         raise ValueError("need 2 <= lo <= hi")

@@ -14,9 +14,10 @@ def builds5000():
 
 @pytest.fixture(autouse=True)
 def cold_memos():
-    """Each test starts with no pattern base, index-level build or edge
-    comparison kept, so a callee that it patches takes effect in every
+    """Each test starts with no pattern base, vertex columns, index-level
+    build or edge comparison kept, so a callee that it patches takes effect in every
     sweep it runs, and no test depends on what an earlier one left."""
     verify._pattern_base.cache_clear()
+    hypergraph._columns.cache_clear()
     hypergraph._index_edges.cache_clear()
     metrics._maps_edges_onto.cache_clear()

@@ -15,8 +15,8 @@ from znhg.arith import CapabilityError, divisors, factorize, factorize_range
 from znhg.groups import Subgroup, cyclic, set_product, zn_subgroup_of_divisor
 from znhg import hypergraph
 from znhg.hypergraph import (EDGE_BUDGET, MAX_HYPEREDGES, MAX_VERTICES,
-                             Hypergraph, _build_on_mask_classes,
-                             _class_cliques, _divisor_table, _index_edges,
+                             Hypergraph, _class_cliques, _columns,
+                             _divisor_table, _index_edges,
                              build_comaximal_hypergraph,
                              build_intersection_hypergraph, canonical_hypergraph,
                              check_buildable, comaximal, enumerate_maximal_edges,
@@ -184,7 +184,7 @@ def test_class_cliques_are_keyed_on_the_masks_themselves(masks):
     labels = [10 * i for i in range(len(masks))]
     expected = canonical_hypergraph(labels, enumerate_maximal_edges(
         len(labels), lambda i, j: not masks[i] & masks[j]))
-    assert _build_on_mask_classes(list(zip(labels, masks))) == expected
+    assert Hypergraph(tuple(labels), _index_edges(masks)) == expected
 
 
 def test_class_clique_cache_holds_one_entry_per_omega():
@@ -216,6 +216,7 @@ def test_interleaved_builds_equal_fresh_builds():
                          (build_comaximal_hypergraph, g),
                          (build_comaximal_hypergraph, f)):
             _divisor_table.cache_clear()
+            _columns.cache_clear()
             _index_edges.cache_clear()
             fresh.append(build(x))
         assert got == tuple(fresh), f.n
@@ -231,7 +232,7 @@ def test_a_build_above_the_edge_budget_is_correct_and_not_kept():
     run_sweep(2, 5000)
     for memo in (_index_edges, _maps_edges_onto):
         assert 0 < memo.pinned <= EDGE_BUDGET
-        assert sum(cost for _, cost in memo._entries.values()) == memo.pinned
+        assert sum(entry[1] for entry in memo._entries.values()) == memo.pinned
 
 
 def test_edge_memo_evicts_least_recently_used_under_the_budget(monkeypatch):

@@ -14,6 +14,8 @@ imports are the package's re-exports, which alone keep nothing alive.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -291,3 +293,17 @@ def test_verify_reaches_no_search():
     # the runtime tests see only the branches some n reaches; this also
     # catches a fallback that no n in range takes
     assert search_references((SRC / "verify.py").read_text()) == []
+
+
+def test_every_traced_target_resolves():
+    # bench/tracing.py reports null metrics for a target it cannot
+    # resolve, so a rename or removal would leave a traced bench round
+    # without a complete result; resolved as Tracer.install resolves them
+    spec = importlib.util.spec_from_file_location(
+        "tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.TARGETS) == 23
+    assert [name for name, module, attr in tracing.TARGETS
+            if not callable(getattr(importlib.import_module(module), attr,
+                                    None))] == []

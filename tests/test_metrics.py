@@ -17,7 +17,8 @@ from znhg.metrics import (INFINITE, ColoringContradiction, check_diameter,
                           check_girth, check_star, chromatic_number,
                           constructive_two_coloring, diameter, distance, girth,
                           has_host_tree, is_connected, is_star, isomorphic,
-                          verify_host_tree, verify_isomorphism)
+                          verify_host_tree, verify_isomorphism,
+                          verify_relabelling)
 from znhg.topology import incidence_graph, simple_graph
 
 
@@ -540,6 +541,15 @@ def test_verify_isomorphism_refuses_a_map_not_defined_on_h1():
     assert not verify_isomorphism(path, edge, {"a": "x", "b": "y"})
 
 
+def test_verify_isomorphism_gives_a_missing_key_no_label_of_h2():
+    # "b" has no image and the key count still matches; the sentinel for
+    # it must not be a label h2 may hold, None included
+    edge = Hypergraph(("a", "b"), ((0, 1),))
+    other = Hypergraph((None, "y"), ((0, 1),))
+    assert verify_isomorphism(edge, other, {"a": "y", "b": None})
+    assert not verify_isomorphism(edge, other, {"a": "y", "c": None})
+
+
 def test_duality_map_is_accepted_and_a_dropped_hyperedge_refused_to_2000():
     for f in factorize_range(2, 2000):
         h, co = build_intersection_hypergraph(f), build_comaximal_hypergraph(f)
@@ -549,6 +559,37 @@ def test_duality_map_is_accepted_and_a_dropped_hyperedge_refused_to_2000():
             k = f.n % len(co.edges)
             dropped = Hypergraph(co.vertices, co.edges[:k] + co.edges[k + 1:])
             assert not verify_isomorphism(h, dropped, dual), f.n
+
+
+def test_verify_relabelling_refuses_each_kind_of_bad_map():
+    # d -> n/d on 30, as a list of images in h's vertex order, and each
+    # way a list of images can fail to be an isomorphism onto co
+    f = factorize(30)
+    h, co = build_intersection_hypergraph(f), build_comaximal_hypergraph(f)
+    dual = [f.n // d for d in h.vertices]
+    assert verify_relabelling(h, co, dual)
+    assert verify_relabelling(h, co, tuple(dual))
+    assert not verify_relabelling(h, co, dual[:-1])
+    # one image too many, though the first six are the right ones
+    assert not verify_relabelling(h, co, [*dual, dual[0]])
+    assert not verify_relabelling(h, co, [dual[1], *dual[1:]])
+    assert not verify_relabelling(h, co, [7, *dual[1:]])
+    # the sentinels for a label with no image: None from the sweep's
+    # relabelling, a fresh object from verify_isomorphism
+    for missing in (None, object()):
+        assert not verify_relabelling(h, co, [missing, *dual[1:]])
+    # a bijection onto co's labels that takes {2, 15} to {10, 2}, no edge
+    assert not verify_relabelling(h, co, [dual[1], dual[0], *dual[2:]])
+    # the right images onto a hypergraph with one more vertex
+    spare = Hypergraph((*co.vertices, 30), co.edges)
+    assert not verify_relabelling(h, spare, dual)
+    # where a vertex lies on no hyperedge, the edges alone cannot tell a
+    # repeated or a foreign image from the right one
+    path = Hypergraph(("a", "b", "c"), ((0, 1), (1, 2)))
+    edge = Hypergraph(("x", "y", "z"), ((0, 1),))
+    assert verify_relabelling(edge, edge, ["x", "y", "z"])
+    assert not verify_relabelling(path, edge, ["x", "y", "x"])
+    assert not verify_relabelling(edge, edge, ["x", "y", "w"])
 
 
 # --- randomized properties over arbitrary small hypergraphs -----------------
@@ -627,3 +668,35 @@ def test_accepted_certificates_are_true_on_random_inputs(h, value, xs, ys, pair)
         assert is_star(h)
     if check_star(h, False, xs):
         assert not is_star(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_hypergraphs(), st.randoms(use_true_random=False),
+       st.sampled_from(["bijection", "partial", "non-injective"]))
+def test_verify_isomorphism_is_verify_relabelling_on_the_images(h, rng, kind):
+    # h2 is h relabelled by a random permutation; the map is a random
+    # bijection onto h2's labels, half the time that permutation, then
+    # loses some keys or sends two labels to one image
+    k = len(h.vertices)
+    perm = rng.sample(range(k), k)
+    h2 = Hypergraph(tuple(f"g{i}" for i in range(k)), tuple(sorted(
+        tuple(sorted(perm[v] for v in e)) for e in h.edges)))
+    targets = perm if rng.random() < 0.5 else rng.sample(range(k), k)
+    mapping = {v: h2.vertices[t] for v, t in zip(h.vertices, targets)}
+    if kind == "partial":
+        for v in rng.sample(h.vertices, rng.randint(1, k)):
+            del mapping[v]
+    elif kind == "non-injective":
+        u, v = rng.sample(h.vertices, 2)
+        mapping[u] = mapping[v]
+    verdict = verify_isomorphism(h, h2, mapping)
+    images = [mapping.get(v, object()) for v in h.vertices]
+    assert verdict == verify_relabelling(h, h2, images)
+    # the definition: a bijection onto h2's labels, hyperedges onto
+    # hyperedges (h's labels are its positions)
+    assert verdict == (
+        len(mapping) == k and set(mapping.values()) == set(h2.vertices)
+        and {frozenset(map(mapping.get, e)) for e in h.edges}
+        == set(map(frozenset, h2.edge_label_sets())))
+    if kind == "bijection" and targets is perm:
+        assert verdict

@@ -455,8 +455,10 @@ def test_refused_relabelling_makes_each_carried_row_uncertified(
         _, rows, _ = v._sweep_one(*builds5000[n], ALL_CHECKS, 9)
         want += [(n, check, "uncertified", predicted)
                  for check, _, _, _, _, _, predicted in rows if check != "iso"]
-    monkeypatch.setattr(v, "_relabelling",
-                        lambda f0, h0, f: {d: d for d in h0.vertices})
+    # sigma from n0 onto itself fixes each label, so it gives h0's labels
+    real_relabelling = v._relabelling
+    monkeypatch.setattr(v, "_relabelling", lambda vectors0, f: real_relabelling(
+        vectors0, v._smallest(tuple(sorted(f.exponents)))))
     r = run_sweep(2, 1000, ALL_CHECKS, jobs=jobs)
     assert [(f.n, f.check, f.computed, f.predicted)
             for f in r.findings] == want
@@ -494,6 +496,28 @@ def test_a_label_foreign_to_n0_is_an_uncertified_finding(monkeypatch):
     assert [(f.n, f.check, f.computed, f.predicted) for f in r.findings] == [
         (10, "emptiness", "uncertified", "False"),
         (10, "single-edge", "uncertified", "True")]
+
+
+def test_a_sweep_builds_nothing_for_an_n_that_carries_nothing(monkeypatch):
+    # a planarity sweep has no row at a prime power, and no iso row is
+    # due, so its hypergraph is not built; with emptiness selected it
+    # is, since the carried emptiness row needs the check of sigma.  The
+    # bases are warmed first: a prime power's own base builds 2^a
+    from znhg import verify as v
+
+    want = sweep_to_json(run_sweep(2, 1000, ("planarity",)))
+    run_sweep(2, 1000, ("emptiness",))
+    real_build = v.build_intersection_hypergraph
+
+    def build(f):
+        if f.omega == 1:
+            raise AssertionError(f"built the prime power {f.n}")
+        return real_build(f)
+
+    monkeypatch.setattr(v, "build_intersection_hypergraph", build)
+    assert sweep_to_json(run_sweep(2, 1000, ("planarity",))) == want
+    with pytest.raises(AssertionError, match="built the prime power 2$"):
+        run_sweep(2, 1000, ("emptiness",))
 
 
 def test_exponent_table_holds_one_entry_per_pattern_or_base():
@@ -689,7 +713,7 @@ def test_prime_map_lifts_compatibility_exactly():
                 continue
             pairs += 1
             divisors = _divisors(f0.n)
-            sigma = v._prime_map(f0, f, divisors)
+            sigma = v._prime_map(f0, f)
             assert sorted(sigma) == divisors
             cofactor, rest = divmod(f.n, sigma[f0.n])
             assert rest == 0, (f.n, f0.n)
@@ -751,17 +775,10 @@ def test_broken_lift_is_an_uncertified_finding(monkeypatch, builds5000,
     from znhg import verify as v
 
     if breakage == "identity map":
-        # the lift's sigma fixes each divisor of the base, while a carry's
-        # sigma, from an n0 that may equal a base, stays as it is
-        real_prime_map = v._prime_map
-
-        def identity_on_bases(f0, f, labels):
-            sigma = real_prime_map(f0, f, labels)
-            if any(f0 is base for base in v._BASES):
-                return {d: d for d in sigma}
-            return sigma
-
-        monkeypatch.setattr(v, "_prime_map", identity_on_bases)
+        # the lift's sigma fixes each divisor of the base; a carry's sigma
+        # comes from _relabelling and stays as it is
+        monkeypatch.setattr(v, "_prime_map",
+                            lambda f0, f: {d: d for d in v._exponent_vectors(f0)})
     else:
         for base, (kind, edges) in list(v._BASE_WITNESSES.items()):
             monkeypatch.setitem(v._BASE_WITNESSES, base, (kind, edges[:-1]))
