@@ -500,9 +500,9 @@ def test_a_label_foreign_to_n0_is_an_uncertified_finding(monkeypatch):
 
 def test_a_sweep_builds_nothing_for_an_n_that_carries_nothing(monkeypatch):
     # a planarity sweep has no row at a prime power, and no iso row is
-    # due, so its hypergraph is not built; with emptiness selected it
-    # is, since the carried emptiness row needs the check of sigma.  The
-    # bases are warmed first: a prime power's own base builds 2^a
+    # due, so its hypergraph is not built; with emptiness selected there
+    # is a row, and it is, from n = 2 on.  The bases are warmed first,
+    # since a prime power's base builds 2^a
     from znhg import verify as v
 
     want = sweep_to_json(run_sweep(2, 1000, ("planarity",)))
